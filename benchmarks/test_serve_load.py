@@ -85,7 +85,6 @@ async def _storm() -> dict:
         max_pending=MAX_PENDING,
         use_cache=True,
         cache_dir=str(REPO_ROOT / ".repro_cache_bench"),
-        executor="process",
     )
     # A fresh cache directory per run: the cold phase must really be cold.
     import shutil

@@ -51,7 +51,7 @@ from repro.thermal import simulate_thermal
 from repro.workloads.benchmarks import BENCHMARK_NAMES
 from repro.experiments.config import ExperimentScale, current_scale
 from repro.experiments.registry import EXPERIMENT_NAMES, run_experiment
-from repro.experiments.spec import SimSpec
+from repro.experiments.spec import SimSpec, run_spec
 from repro.api import simulate
 from repro.faults.spec import (
     DEFAULT_WATCHDOG_WINDOW,
@@ -568,7 +568,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         timeout_s=args.timeout,
         retries=args.retries,
-        executor="inline" if args.inline else "process",
+        runner=run_spec if args.inline else None,
         lease_ttl_s=(
             args.lease_ttl if args.lease_ttl else DEFAULT_LEASE_TTL_S
         ),

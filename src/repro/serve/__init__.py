@@ -4,22 +4,22 @@ Turns the CLI batch tool into an async simulation server:
 
 * :mod:`repro.serve.scheduler` — the :class:`~repro.serve.scheduler.JobStore`
   core: per-tenant fair queuing, in-flight dedup by ``spec_hash``,
-  bounded worker pool over the PR-2 process-per-cell fan-out,
   backpressure via :class:`~repro.serve.scheduler.QueueFullError`, and
-  the remote-lease table (grant / heartbeat / reap-and-requeue) behind
-  distributed workers.
+  the one lease path (grant / run / push / reap-and-requeue) that both
+  the head's own pool and distributed workers execute cells through.
 * :mod:`repro.serve.journal` — the durable head journal: an append-only
   JSONL write-ahead log under the cache dir that lets a killed head
   recover its jobs, queues, and open leases on restart.
 * :mod:`repro.serve.protocol` — stdlib HTTP framing plus the versioned
-  typed wire messages (``protocol_version``-stamped frozen dataclasses)
-  every peer shares; version skew fails loudly with a structured 400.
+  typed wire messages (frozen dataclasses sharing one annotation-driven
+  codec) every peer shares; version skew fails loudly with a structured
+  400.
 * :mod:`repro.serve.server` — a stdlib-only asyncio HTTP/JSON front end
   (submit grids, stream NDJSON progress, fetch results and cached
   artifacts, grant leases) started by ``python -m repro serve``.
 * :mod:`repro.serve.worker` — the remote worker pull loop
   (``repro serve --role worker --head URL``): lease a batch, heartbeat,
-  execute via :func:`~repro.experiments.orchestrator.execute_cell`,
+  execute via :func:`~repro.serve.scheduler.cell_outcome`,
   push results back for artifact replication; rides out head restarts
   with jittered backoff and drains gracefully on ``SIGTERM``.
 * :mod:`repro.serve.client` — sync and async clients raising one typed

@@ -268,8 +268,8 @@ class RestartableHead:
         original = store._resolve
         state = {"folds": 0}
 
-        def wrapped(entry, stats, error, remote=False):
-            original(entry, stats, error, remote=remote)
+        def wrapped(*args, **kwargs):
+            original(*args, **kwargs)
             state["folds"] += 1
             if state["folds"] == folds:
                 self._stop.set()  # we are on the loop thread here

@@ -24,6 +24,7 @@ anything beyond the stdlib.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
 import random
@@ -175,6 +176,44 @@ def summary_from_results(results: JobResults) -> SweepSummary:
     return summary
 
 
+class _RetryBudget:
+    """One call's retry allowance on a :class:`ServeClient`.
+
+    A small bounded count of transient resets (connection reset / broken
+    pipe mid-exchange), plus an ``outage_grace_s`` wall-clock window
+    during which *any* connection failure — including refused
+    connections while the head restarts — is retried, each retry after
+    a full-jitter backoff sleep.
+    """
+
+    def __init__(self, client: "ServeClient"):
+        self._client = client
+        self._backoff = Backoff(base_s=0.05, cap_s=2.0, rng=client._rng)
+        self.reset()
+
+    def reset(self) -> None:
+        """Progress was made: restore the whole budget."""
+        self._transient_left = self._client.transient_retries
+        self._deadline: Optional[float] = None
+        self._backoff.reset()
+
+    def pause(self, exc: Optional[ServeConnectionError]) -> bool:
+        """Sleep before retrying after ``exc`` (None: the peer closed
+        cleanly); False, without sleeping, once the budget is spent."""
+        now = time.monotonic()
+        if self._deadline is None:
+            self._deadline = now + self._client.outage_grace_s
+        transient = exc is not None and isinstance(
+            exc.__cause__, TRANSIENT_ERRORS
+        )
+        if transient and self._transient_left > 0:
+            self._transient_left -= 1
+        elif now >= self._deadline:
+            return False
+        time.sleep(self._backoff.next_delay())
+        return True
+
+
 class ServeClient:
     """Synchronous client; one HTTP connection per call.
 
@@ -228,33 +267,18 @@ class ServeClient:
     ) -> tuple[int, dict, dict]:
         """One request, retried when it is safe to replay it.
 
-        GETs default to idempotent; POSTs must opt in explicitly.  Two
-        retry budgets apply: a small bounded count for transient resets
-        (connection reset / broken pipe mid-exchange), and an
-        ``outage_grace_s`` wall-clock window during which *any*
-        connection failure — including refused connections while the
-        head restarts — is retried with full-jitter backoff.
+        GETs default to idempotent; POSTs must opt in explicitly.  Retries
+        draw on a :class:`_RetryBudget`.
         """
         if idempotent is None:
             idempotent = method == "GET"
-        backoff = Backoff(base_s=0.05, cap_s=2.0, rng=self._rng)
-        transient_left = self.transient_retries
-        grace_deadline: Optional[float] = None
+        retry = _RetryBudget(self)
         while True:
             try:
                 return self._request_once(method, path, payload)
             except ServeConnectionError as exc:
-                if not idempotent:
+                if not idempotent or not retry.pause(exc):
                     raise
-                now = time.monotonic()
-                if grace_deadline is None:
-                    grace_deadline = now + self.outage_grace_s
-                transient = isinstance(exc.__cause__, TRANSIENT_ERRORS)
-                if transient and transient_left > 0:
-                    transient_left -= 1
-                elif now >= grace_deadline:
-                    raise
-                time.sleep(backoff.next_delay())
 
     def _request_once(
         self, method: str, path: str, payload: Optional[dict] = None
@@ -388,40 +412,22 @@ class ServeClient:
         event terminates the iterator.
         """
         yielded = 0
-        finished = False
-        transient_left = self.transient_retries
-        grace_deadline: Optional[float] = None
-        backoff = Backoff(base_s=0.05, cap_s=2.0, rng=self._rng)
+        retry = _RetryBudget(self)
         while True:
             exc: Optional[ServeConnectionError] = None
             try:
                 for event in self._iter_events_once(job_id, skip=yielded):
                     yielded += 1
-                    transient_left = self.transient_retries
-                    grace_deadline = None
-                    backoff.reset()
-                    if event.get("event") == "done":
-                        finished = True
+                    retry.reset()
                     yield event
+                    if event.get("event") == "done":
+                        return
             except ServeConnectionError as err:
                 exc = err
-            if finished:
-                return
-            now = time.monotonic()
-            if grace_deadline is None:
-                grace_deadline = now + self.outage_grace_s
-            transient = exc is not None and isinstance(
-                exc.__cause__, TRANSIENT_ERRORS
-            )
-            if transient and transient_left > 0:
-                transient_left -= 1
-            elif now < grace_deadline:
-                pass
-            elif exc is not None:
-                raise exc
-            else:
+            if not retry.pause(exc):
+                if exc is not None:
+                    raise exc
                 return  # clean EOF with no grace window: stream is over
-            time.sleep(backoff.next_delay())
 
     def _iter_events_once(self, job_id: str, skip: int = 0) -> Iterator[dict]:
         conn = http.client.HTTPConnection(
@@ -502,22 +508,17 @@ class ServeClient:
                         f"({attempt}/{max_retries})"
                     )
                 time.sleep(delay)
-        job_id = snapshot.job_id
-        if progress is not None:
-            for event in self.iter_events(job_id):
-                if event.get("event") == "cell" and event.get("state") in (
-                    "done", "failed"
-                ):
-                    progress(
-                        f"{event.get('label', event.get('spec_hash'))}: "
-                        f"{event['state']} ({event.get('origin', '-')})"
-                    )
-                elif event.get("event") == "done":
-                    break
-            results = self.results(job_id)
-        else:
-            results = self.wait(job_id)
-        return summary_from_results(results)
+        for event in self.iter_events(snapshot.job_id):
+            if event.get("event") == "done":
+                break
+            if progress is not None and event.get("state") in (
+                "done", "failed"
+            ):
+                progress(
+                    f"{event.get('label', event.get('spec_hash'))}: "
+                    f"{event['state']} ({event.get('origin', '-')})"
+                )
+        return summary_from_results(self.results(snapshot.job_id))
 
 
 class AsyncServeClient:
@@ -558,33 +559,30 @@ class AsyncServeClient:
     async def _request_once(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> tuple[int, dict]:
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            f"X-Repro-Tenant: {self.tenant}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        writer = None
+        retry_after = None
         try:
+            # Any transport failure — refused, or reset anywhere in the
+            # exchange — surfaces as ServeConnectionError, so _request's
+            # transient-retry loop sees every reset.
             reader, writer = await asyncio.open_connection(
                 self.host, self.port
             )
-        except (ConnectionError, OSError) as exc:
-            raise ServeConnectionError(
-                f"head {self.host}:{self.port} unreachable: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        try:
-            body = b""
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"X-Repro-Tenant: {self.tenant}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("latin-1")
             writer.write(head + body)
             await writer.drain()
-
             status_line = await reader.readline()
+            if not status_line:
+                raise ConnectionResetError("peer closed before replying")
             status = int(status_line.split()[1])
-            retry_after = None
             while True:
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n", b""):
@@ -593,18 +591,22 @@ class AsyncServeClient:
                 if name.strip().lower() == "retry-after":
                     retry_after = value.strip()
             raw = await reader.read()
-            parsed = json.loads(raw) if raw.strip() else {}
-            headers = (
-                {"Retry-After": retry_after} if retry_after is not None else {}
-            )
-            raise_for_status(status, headers, parsed)
-            return status, parsed
+        except (ConnectionError, OSError) as exc:
+            raise ServeConnectionError(
+                f"head {self.host}:{self.port} unreachable: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if writer is not None:
+                writer.close()
+                with contextlib.suppress(ConnectionError, OSError):
+                    await writer.wait_closed()
+        parsed = json.loads(raw) if raw.strip() else {}
+        headers = (
+            {"Retry-After": retry_after} if retry_after is not None else {}
+        )
+        raise_for_status(status, headers, parsed)
+        return status, parsed
 
     async def submit(self, specs: Sequence[SimSpec]) -> JobSnapshot:
         request = SubmitRequest(specs=tuple(specs), tenant=self.tenant)

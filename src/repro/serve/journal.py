@@ -14,7 +14,8 @@ outlive the process appends one JSON record:
     Successful stats are *not* journaled — they live in the
     content-addressed result cache; recovery re-reads them by hash.
 ``{"rec": "lease", ...}``
-    A grant: lease id, token, worker id, TTL, and the leased
+    A remote worker's grant (the head's own pool journals none): lease
+    id, token, worker id, TTL, and the leased
     ``spec_hash -> attempt`` map.  Journaling the token is what lets a
     restarted head accept late pushes from pre-restart workers.
 ``{"rec": "lease_closed", ...}`` / ``{"rec": "release", ...}``
@@ -57,9 +58,6 @@ class Journal:
         self.fsync_every = max(1, fsync_every)
         self._handle: Optional[IO[bytes]] = None
         self._unsynced = 0
-        #: Records appended since the last load()/rewrite(); a cheap
-        #: growth signal callers can use to trigger compaction.
-        self.appended_since_load = 0
 
     # -- loading ---------------------------------------------------------------
 
@@ -107,7 +105,6 @@ class Journal:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)
         self._open_for_append()
-        self.appended_since_load = 0
         return records
 
     # -- appending -------------------------------------------------------------
@@ -130,7 +127,6 @@ class Journal:
         self._handle.write(payload)
         self._handle.flush()  # survive a process kill; fsync is batched
         self._unsynced += len(records)
-        self.appended_since_load += len(records)
         if self._unsynced >= self.fsync_every:
             os.fsync(self._handle.fileno())
             self._unsynced = 0
@@ -177,7 +173,6 @@ class Journal:
                 pass
             raise
         self._open_for_append()
-        self.appended_since_load = 0
 
     def close(self) -> None:
         if self._handle is None:

@@ -12,46 +12,43 @@ async-submittable store:
   already queued or running (for *any* tenant, or earlier in the same
   grid) is not enqueued again — the new cell subscribes to the in-flight
   execution and receives the same result (origin ``"deduped"``).
-* **fair scheduling** — free worker slots are granted round-robin across
-  tenants with queued work, so one tenant's 10,000-cell grid cannot
-  starve another's smoke test.
+* **fair scheduling** — queued cells are leased round-robin across
+  tenants, so one tenant's 10,000-cell grid cannot starve another's
+  smoke test.
 * **backpressure** — :meth:`JobStore.submit` raises
   :class:`QueueFullError` once the number of *distinct* pending cells
   reaches ``max_pending``; the HTTP layer maps it to 429 + Retry-After.
-* **structured failure** — failures carry the PR-5 ``CellFailure`` kinds
-  ("error" | "timeout" | "crash" | "stall" | "deadlock" |
-  "worker_lost") into per-cell error bodies and per-job
-  ``failure_kinds`` health counters.
-* **remote leases** — distributed workers
-  (:mod:`repro.serve.worker`) pull batches of queued cells via
-  :meth:`JobStore.grant_lease`, extend them with
-  :meth:`JobStore.heartbeat`, and push results back through
-  :meth:`JobStore.push_results` (which also replicates each artifact
-  into the head's cache).  A reaper task requeues the cells of any
-  lease whose TTL lapses — exactly once per reap — and converts retry
-  exhaustion into structured ``worker_lost`` failures, so a
-  ``kill -9``-ed worker can never silently drop a cell.  ``workers=0``
-  runs the store head-only: cells wait for remote leases.
-* **durability** — with a result cache attached, every submission,
-  lease grant, terminal fold, and failure resolution is appended to a
-  JSONL write-ahead log (:mod:`repro.serve.journal`) under the cache
-  root.  :meth:`JobStore.recover` (run automatically by :meth:`start`)
-  replays it after a head crash: resolved cells are re-served from the
-  content-addressed cache, unresolved cells requeued, and open leases
-  restored with their journaled tokens so in-flight workers neither
-  double-execute nor lose their late pushes.  ``journal=False`` opts
-  back into the purely in-memory store.
+* **one execution path** — every cell runs under a lease:
+  :meth:`JobStore.grant_lease` pops queued cells, :func:`cell_outcome`
+  runs one and maps any failure to ``{kind, message, attempts}`` (the
+  orchestrator's ``CellFailure`` kinds), and
+  :meth:`JobStore.push_results` folds the outcome in.  Remote workers (:mod:`repro.serve.worker`) drive it
+  over HTTP; the head's ``workers`` pool slots drive it in process
+  under the empty worker id.  Such *local* leases are never journaled,
+  reaped, or charged a ``worker_lost`` attempt.  A remote lease expires
+  ``lease_ttl_s`` after its last heartbeat or push; the reaper requeues
+  its cells exactly once and turns retry exhaustion into ``worker_lost``
+  failures.  ``workers=0`` runs the store head-only.
+* **durability** — with a result cache attached, submissions, remote
+  lease grants, releases, and terminal folds are appended to a JSONL
+  write-ahead log (:mod:`repro.serve.journal`), one builder per record
+  kind.  :meth:`JobStore.recover` (run by :meth:`start`) replays it
+  after a head crash: resolved cells are re-served from the cache, open
+  remote leases are restored with their tokens, and every other
+  unresolved cell — the local pool's included — is requeued at once.
+  ``journal=False`` keeps the store purely in memory.
 
 Everything runs on one asyncio event loop; the only threads are the
-executor pool hosting the blocking per-cell worker processes
-(:func:`repro.experiments.orchestrator.execute_cell`).  ``executor=
-"inline"`` swaps the worker process for an in-thread ``run_spec`` call —
-faster for tiny cells and the deterministic choice for tests.
+local pool's.  A cell runs through
+:func:`repro.experiments.orchestrator.execute_cell` (a worker process)
+unless ``runner`` (e.g. ``run_spec``, in-thread) is given.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import math
 import os
 import re
 import secrets
@@ -68,17 +65,70 @@ from repro.experiments.orchestrator import (
     _failure_kind,
     execute_cell,
 )
-from repro.experiments.spec import SimSpec, run_spec
+from repro.experiments.spec import SimSpec
 from repro.serve.journal import JOURNAL_NAME, Journal
+from repro.serve.protocol import CellOutcome
 
 #: Cell origins: how a delivered result was produced.
 ORIGIN_CACHED = "cached"        # satisfied from the on-disk cache at submit
 ORIGIN_SIMULATED = "simulated"  # this cell's job triggered the simulation
 ORIGIN_DEDUPED = "deduped"      # rode along on another in-flight cell
 
+_ORIGIN_TOTALS = {
+    ORIGIN_CACHED: "cells_cached",
+    ORIGIN_SIMULATED: "cells_simulated",
+    ORIGIN_DEDUPED: "cells_deduped",
+}
+
+#: Counters that describe the last recovery pass rather than history.
+RECOVERY_COUNTERS = (
+    "jobs_recovered", "cells_requeued_on_recovery", "leases_restored"
+)
 
 #: Default lease TTL; a worker heartbeats at a fraction of this.
 DEFAULT_LEASE_TTL_S = 15.0
+
+
+def cell_outcome(
+    spec: SimSpec,
+    *,
+    runner: Optional[Callable[[SimSpec], RunStats]] = None,
+    timeout_s: Optional[float] = None,
+    retries: int = 1,
+) -> CellOutcome:
+    """Run one cell, head-local or on a remote worker; never raises.
+
+    ``runner`` runs it when given, else :func:`execute_cell` (process
+    isolation, ``timeout_s``, ``retries``); any failure becomes an error
+    outcome.
+    """
+    spec_hash = spec.spec_hash()
+    try:
+        if runner is not None:
+            stats = runner(spec)
+        else:
+            stats = execute_cell(spec, timeout_s=timeout_s, retries=retries)
+    except CellExecutionError as exc:
+        error = {
+            "kind": exc.kind,
+            "message": exc.message,
+            "attempts": exc.attempts,
+        }
+    except Exception as exc:  # injected-runner failures
+        error = {
+            "kind": _failure_kind(exc),
+            "message": f"{type(exc).__name__}: {exc}",
+            "attempts": 1,
+        }
+    else:
+        return CellOutcome(spec_hash=spec_hash, stats=stats)
+    return CellOutcome(spec_hash=spec_hash, error=error)
+
+
+def _max_serial(floor: int, prefix: str, ids) -> int:
+    """The highest serial among ids shaped ``<prefix><serial>-<hex>``."""
+    serials = (re.match(rf"{prefix}(\d+)-", item) for item in ids)
+    return max([floor, *(int(m.group(1)) for m in serials if m)])
 
 
 class QueueFullError(RuntimeError):
@@ -218,10 +268,10 @@ class Job:
         self.event_log.append(event)
         self._changed.set()
 
-    def _cell_event(self, cell: CellRecord, with_stats: bool = True) -> dict:
+    def _cell_event(self, cell: CellRecord) -> dict:
         event = {"event": "cell", "job_id": self.job_id}
         event.update(cell.status_dict())
-        if with_stats and cell.stats is not None:
+        if cell.stats is not None:
             event["stats"] = cell.stats.to_dict()
         return event
 
@@ -265,7 +315,8 @@ class _InFlight:
 
 @dataclass
 class Lease:
-    """A batch of cells granted to one remote worker, with a deadline."""
+    """A batch of leased cells with a deadline (none for a local lease,
+    held by one of the head's own pool slots under ``worker_id=""``)."""
 
     lease_id: str
     token: str
@@ -273,6 +324,15 @@ class Lease:
     ttl_s: float
     deadline: float  # time.monotonic()
     entries: dict[str, _InFlight] = field(default_factory=dict)
+
+    @property
+    def local(self) -> bool:
+        return not self.worker_id
+
+    def renew(self) -> None:
+        """Push the deadline a full TTL out (a no-op for local leases)."""
+        if not self.local:
+            self.deadline = time.monotonic() + self.ttl_s
 
 
 class JobStore:
@@ -287,16 +347,11 @@ class JobStore:
         cache_dir: Optional[str] = None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        executor: str = "process",
         runner: Optional[Callable[[SimSpec], RunStats]] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         worker_retries: int = 1,
         journal: bool = True,
     ):
-        if executor not in ("process", "inline"):
-            raise ValueError(
-                f"executor must be 'process' or 'inline', got {executor!r}"
-            )
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if lease_ttl_s <= 0:
@@ -306,16 +361,11 @@ class JobStore:
         self.max_pending = max_pending
         self.timeout_s = timeout_s
         self.retries = retries
-        self.executor_kind = executor
         self.cache = ResultCache(cache_dir) if use_cache else None
         self._runner = runner
         self.lease_ttl_s = lease_ttl_s
         self.worker_retries = max(0, worker_retries)
-        self._inflight: dict[str, _InFlight] = {}
-        self._queues: dict[str, deque[_InFlight]] = {}
-        self._tenant_order: deque[str] = deque()
-        self._jobs: dict[str, Job] = {}
-        self._leases: dict[str, Lease] = {}
+        self._reset_state()
         self._work = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -325,8 +375,15 @@ class JobStore:
         #: The durable WAL (only with a cache: stats live in its artifacts).
         self._journal: Optional[Journal] = None
         self._journal_enabled = journal and self.cache is not None
-        self._recovering = False
         self._recovered = False
+
+    def _reset_state(self) -> None:
+        """Empty every piece of replayable state (and the totals)."""
+        self._inflight: dict[str, _InFlight] = {}
+        self._queues: dict[str, deque[_InFlight]] = {}
+        self._tenant_order: deque[str] = deque()
+        self._jobs: dict[str, Job] = {}
+        self._leases: dict[str, Lease] = {}
         self.totals = self._zero_totals()
 
     @staticmethod
@@ -352,6 +409,11 @@ class JobStore:
             "failure_kinds": {},
         }
 
+    @property
+    def executor_kind(self) -> str:
+        """``"process"`` (:func:`execute_cell`) or ``"inline"`` (a runner)."""
+        return "process" if self._runner is None else "inline"
+
     # -- lifecycle -------------------------------------------------------------
 
     @property
@@ -370,7 +432,9 @@ class JobStore:
                 max_workers=self.workers, thread_name_prefix="repro-serve"
             )
             self._tasks = [
-                asyncio.create_task(self._worker(), name=f"serve-worker-{i}")
+                asyncio.create_task(
+                    self._local_worker(), name=f"serve-worker-{i}"
+                )
                 for i in range(self.workers)
             ]
         self._tasks.append(
@@ -400,34 +464,83 @@ class JobStore:
     @property
     def journal_path(self) -> Optional[str]:
         """Where the WAL lives (under the cache root), or None if disabled."""
-        if not self._journal_enabled or self.cache is None:
+        if not self._journal_enabled:
             return None
         return os.path.join(self.cache.root, JOURNAL_NAME)
 
     def _journal_append(self, *records: dict) -> None:
-        if self._journal is not None and not self._recovering:
+        if self._journal is not None:
             self._journal.append(*records)
 
-    def _journal_lease_closed(self, lease_id: str) -> None:
-        self._journal_append({"rec": "lease_closed", "lease_id": lease_id})
+    @staticmethod
+    def _job_record(job: Job) -> dict:
+        return {
+            "rec": "job",
+            "job_id": job.job_id,
+            "tenant": job.tenant,
+            "created_at": job.created_at,
+            "specs": [cell.spec.to_dict() for cell in job.cells],
+        }
 
     @staticmethod
-    def _merge_totals(target: dict, source: dict) -> None:
+    def _resolve_record(
+        spec_hash: str,
+        cells: Sequence[tuple[Job, CellRecord]],
+        error: Optional[dict] = None,
+        remote: bool = False,
+    ) -> dict:
+        """A terminal fold of ``spec_hash`` (stats live in the cache)."""
+        record: dict = {
+            "rec": "resolve",
+            "spec_hash": spec_hash,
+            "ok": error is None,
+            "cells": [],
+        }
+        for job, cell in cells:
+            ref = {"job": job.job_id, "index": cell.index, "origin": cell.origin}
+            if cell.worker:
+                ref["worker"] = cell.worker
+            record["cells"].append(ref)
+        if error is not None:
+            record["error"] = dict(error)
+        if remote:
+            record["remote"] = True
+        return record
+
+    @staticmethod
+    def _lease_record(lease: Lease) -> dict:
+        # The token is what lets a restarted head accept the worker's
+        # pushes as if nothing happened.
+        return {
+            "rec": "lease",
+            "lease_id": lease.lease_id,
+            "token": lease.token,
+            "worker_id": lease.worker_id,
+            "ttl_s": lease.ttl_s,
+            "cells": {
+                spec_hash: entry.worker_attempts
+                for spec_hash, entry in lease.entries.items()
+            },
+        }
+
+    def _close_lease(self, lease: Lease) -> None:
+        self._leases.pop(lease.lease_id, None)
+        if not lease.local:
+            self._journal_append(
+                {"rec": "lease_closed", "lease_id": lease.lease_id}
+            )
+
+    @staticmethod
+    def _merge_totals(target: dict, source: dict, sign: int = 1) -> None:
         for key, value in source.items():
             if key == "failure_kinds" and isinstance(value, dict):
                 kinds = target.setdefault("failure_kinds", {})
                 for kind, count in value.items():
-                    kinds[kind] = kinds.get(kind, 0) + int(count)
+                    kinds[kind] = kinds.get(kind, 0) + sign * int(count)
             elif isinstance(value, (int, float)) and not isinstance(
                 value, bool
             ):
-                target[key] = target.get(key, 0) + value
-
-    _ORIGIN_TOTALS = {
-        ORIGIN_CACHED: "cells_cached",
-        ORIGIN_SIMULATED: "cells_simulated",
-        ORIGIN_DEDUPED: "cells_deduped",
-    }
+                target[key] = target.get(key, 0) + sign * value
 
     def recover(self) -> dict:
         """Rebuild the store's state from the journal (head failover).
@@ -436,14 +549,14 @@ class JobStore:
         jobs are re-registered under their original ids, resolved cells
         are re-served from the content-addressed cache (a resolve whose
         artifact went missing is requeued instead — never trusted
-        blindly), unresolved cells re-enter their tenants' queues with
-        their ``worker_attempts`` budgets intact, and open leases are
-        restored with their journaled tokens and a fresh full TTL — so
-        a fast head restart neither double-executes a slow worker's
-        batch nor rejects its late pushes.  ``/stats`` totals are
-        rebuilt cumulatively (compaction baselines included), so
-        counters like ``cells_simulated`` keep meaning "ever" across
-        restarts.
+        blindly), open remote leases are restored with their journaled
+        tokens and a fresh full TTL — so a fast head restart neither
+        double-executes a slow worker's batch nor rejects its late
+        pushes — and every other unresolved cell re-enters its tenant's
+        queue immediately with its ``worker_attempts`` budget intact.
+        ``/stats`` totals are rebuilt cumulatively (compaction baselines
+        included), so counters like ``cells_simulated`` keep meaning
+        "ever" across restarts.
 
         Replay starts from scratch every call, which makes it
         idempotent: recovering twice — or from a journal with
@@ -451,35 +564,15 @@ class JobStore:
         recovering once.  Returns the recovery counters (also surfaced
         in ``/stats``).
         """
-        empty = {
-            "jobs_recovered": 0,
-            "cells_requeued_on_recovery": 0,
-            "leases_restored": 0,
-        }
-        if not self._journal_enabled or self.cache is None:
-            return empty
+        if not self._journal_enabled:
+            return dict.fromkeys(RECOVERY_COUNTERS, 0)
         if self._journal is None:
             self._journal = Journal(self.journal_path)
         records = self._journal.load()
         self._recovered = True
-        # Reset every replayable piece of state: recovery is a startup
-        # operation that rebuilds from scratch (that is what makes it
-        # idempotent), not an incremental merge into live state.
-        self._jobs.clear()
-        self._inflight.clear()
-        self._queues.clear()
-        self._tenant_order.clear()
-        self._leases.clear()
-        self.totals = self._zero_totals()
-        if not records:
-            return empty
-        self._recovering = True
-        try:
-            counters = self._replay(records)
-        finally:
-            self._recovering = False
-        for key, value in counters.items():
-            self.totals[key] = value
+        self._reset_state()
+        counters = self._replay(records)
+        self.totals.update(counters)
         return counters
 
     def _replay(self, records: Sequence[dict]) -> dict:
@@ -549,14 +642,15 @@ class JobStore:
         # Pass 3: apply terminal folds; stats come from the cache, and a
         # missing artifact leaves the cell unresolved (requeued below).
         for record in resolves:
-            ok = bool(record.get("ok"))
-            error = record.get("error")
-            if not ok and not isinstance(error, dict):
-                error = {
-                    "kind": "error",
-                    "message": "journaled failure with no error body",
-                    "attempts": 1,
-                }
+            error = None
+            if not record.get("ok"):
+                error = record.get("error")
+                if not isinstance(error, dict):
+                    error = {
+                        "kind": "error",
+                        "message": "journaled failure with no error body",
+                        "attempts": 1,
+                    }
             stats: Optional[RunStats] = None
             counted_remote = False
             for ref in record.get("cells") or ():
@@ -571,31 +665,17 @@ class JobStore:
                 cell = job.cells[index]
                 if cell.state in ("done", "failed"):
                     continue  # duplicate record: replay stays idempotent
-                if ok:
+                if error is None:
                     if stats is None:
                         stats = self.cache.get(cell.spec)
                     if stats is None:
                         continue  # artifact lost: re-execute instead
-                    cell.state = "done"
-                    cell.origin = ref.get("origin") or ORIGIN_DEDUPED
-                    cell.stats = stats
                     if ref.get("worker"):
                         cell.worker = ref["worker"]
-                    self.totals[
-                        self._ORIGIN_TOTALS.get(cell.origin, "cells_deduped")
-                    ] += 1
-                    self.totals["cells_delivered"] += 1
-                else:
-                    cell.state = "failed"
-                    cell.error = dict(error)
-                    kind = cell.error.get("kind", "error")
-                    job.failure_kinds[kind] = (
-                        job.failure_kinds.get(kind, 0) + 1
-                    )
-                    kinds = self.totals["failure_kinds"]
-                    kinds[kind] = kinds.get(kind, 0) + 1
-                    self.totals["cells_failed"] += 1
-                job.emit(job._cell_event(cell))
+                self._settle(
+                    job, cell, ref.get("origin") or ORIGIN_DEDUPED,
+                    stats, error,
+                )
                 if record.get("remote") and not counted_remote:
                     self.totals["cells_remote"] += 1
                     counted_remote = True
@@ -662,30 +742,16 @@ class JobStore:
         for lease in restored.values():
             self._leases[lease.lease_id] = lease
             for entry in lease.entries.values():
-                for job, index in entry.subscribers:
-                    cell = job.cells[index]
-                    cell.state = "running"
-                    cell.worker = lease.worker_id
-                    job.emit(job._cell_event(cell))
+                self._mark(entry, "running", lease.worker_id)
 
         # Pass 6: restore id counters past everything journaled, close
         # out fully-resolved jobs, and report.
-        for job_id in self._jobs:
-            match = re.match(r"j(\d+)-", job_id)
-            if match:
-                self._job_counter = max(
-                    self._job_counter, int(match.group(1))
-                )
-        for lease_id in lease_records:
-            match = re.match(r"l(\d+)-", lease_id)
-            if match:
-                self._lease_counter = max(
-                    self._lease_counter, int(match.group(1))
-                )
+        self._job_counter = _max_serial(self._job_counter, "j", self._jobs)
+        self._lease_counter = _max_serial(
+            self._lease_counter, "l", lease_records
+        )
         for job in self._jobs.values():
-            job._maybe_finish()
-            if job.is_done:
-                self.totals["jobs_done"] += 1
+            self._finish(job)
         return {
             "jobs_recovered": len(self._jobs),
             "cells_requeued_on_recovery": requeued,
@@ -693,96 +759,33 @@ class JobStore:
         }
 
     def compact_journal(self) -> int:
-        """Rewrite the journal without fully-resolved jobs.
+        """Rewrite the journal as just the records the open state needs.
 
-        The dropped records' counter contributions are folded into one
-        leading ``totals`` baseline record, so recovery after compaction
-        reports the same cumulative ``/stats`` totals.  Open jobs keep a
-        job record plus grouped resolve records for their terminal
-        cells; open leases keep their grant records (tokens included);
-        queued cells with a spent retry budget keep it via an
-        ``attempts`` record.  Returns the number of records written.
+        Open jobs keep their job record plus one resolve record per
+        terminal cell; open remote leases keep their grant records
+        (tokens included); queued cells with a spent retry budget keep
+        it via an ``attempts`` record.  Everything else folds into one
+        leading ``totals`` baseline: the live totals minus what replaying
+        the kept records adds back, so recovery after compaction reports
+        the same cumulative ``/stats`` totals.  Returns the number of
+        records written.
         """
         if self._journal is None:
             return 0
-        baseline = {
-            key: (dict(value) if isinstance(value, dict) else value)
-            for key, value in self.totals.items()
-        }
-        # Recovery counters describe the last recovery, not history.
-        for key in (
-            "jobs_recovered", "cells_requeued_on_recovery", "leases_restored"
-        ):
-            baseline[key] = 0
-        kept_jobs = [job for job in self._jobs.values() if not job.is_done]
-        baseline["jobs_submitted"] -= len(kept_jobs)
-
-        records: list[dict] = []
-        for job in kept_jobs:
-            records.append({
-                "rec": "job",
-                "job_id": job.job_id,
-                "tenant": job.tenant,
-                "created_at": job.created_at,
-                "specs": [cell.spec.to_dict() for cell in job.cells],
-            })
-        by_hash: dict[str, dict] = {}
-        for job in kept_jobs:
-            for cell in job.cells:
-                if cell.state == "done":
-                    baseline["cells_delivered"] -= 1
-                    baseline[
-                        self._ORIGIN_TOTALS.get(cell.origin, "cells_deduped")
-                    ] -= 1
-                elif cell.state == "failed":
-                    baseline["cells_failed"] -= 1
-                    kind = (cell.error or {}).get("kind", "error")
-                    kinds = baseline["failure_kinds"]
-                    kinds[kind] = kinds.get(kind, 0) - 1
-                else:
-                    continue
-                record = by_hash.get(cell.spec_hash)
-                if record is None:
-                    record = by_hash[cell.spec_hash] = {
-                        "rec": "resolve",
-                        "spec_hash": cell.spec_hash,
-                        "ok": cell.state == "done",
-                        "cells": [],
-                    }
-                    if cell.state == "failed" and cell.error is not None:
-                        record["error"] = dict(cell.error)
-                ref = {
-                    "job": job.job_id,
-                    "index": cell.index,
-                    "origin": cell.origin,
-                }
-                if cell.worker:
-                    ref["worker"] = cell.worker
-                record["cells"].append(ref)
-        for record in by_hash.values():
-            if any(ref.get("worker") for ref in record["cells"]):
-                record["remote"] = True
-                baseline["cells_remote"] -= 1
-        records.extend(by_hash.values())
-
-        open_leases = [
-            lease for lease in self._leases.values() if lease.entries
+        kept = [job for job in self._jobs.values() if not job.is_done]
+        records = [self._job_record(job) for job in kept]
+        records.extend(
+            self._resolve_record(cell.spec_hash, [(job, cell)], cell.error)
+            for job in kept
+            for cell in job.cells
+            if cell.state in ("done", "failed")
+        )
+        leases = [
+            lease for lease in self._leases.values()
+            if lease.entries and not lease.local
         ]
-        baseline["leases_granted"] -= len(open_leases)
-        leased = set()
-        for lease in open_leases:
-            records.append({
-                "rec": "lease",
-                "lease_id": lease.lease_id,
-                "token": lease.token,
-                "worker_id": lease.worker_id,
-                "ttl_s": lease.ttl_s,
-                "cells": {
-                    spec_hash: entry.worker_attempts
-                    for spec_hash, entry in lease.entries.items()
-                },
-            })
-            leased.update(lease.entries)
+        records.extend(self._lease_record(lease) for lease in leases)
+        leased = {spec_hash for lease in leases for spec_hash in lease.entries}
         spent = {
             spec_hash: entry.worker_attempts
             for spec_hash, entry in self._inflight.items()
@@ -791,26 +794,26 @@ class JobStore:
         if spent:
             records.append({"rec": "attempts", "cells": spent})
 
-        for key, value in list(baseline.items()):
-            if (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and value < 0
-            ):
-                baseline[key] = 0
+        replayed = JobStore(
+            workers=0, use_cache=False, journal=False,
+            lease_ttl_s=self.lease_ttl_s,
+        )
+        replayed.cache = self.cache
+        replayed._replay(records)
+        baseline = self._zero_totals()
+        self._merge_totals(baseline, self.totals)
+        self._merge_totals(baseline, replayed.totals, sign=-1)
+        for key in RECOVERY_COUNTERS:
+            baseline[key] = 0
         baseline["failure_kinds"] = {
             kind: count
             for kind, count in baseline["failure_kinds"].items()
-            if count > 0
+            if count
         }
-        out: list[dict] = []
-        if any(
-            value for key, value in baseline.items() if key != "failure_kinds"
-        ) or baseline["failure_kinds"]:
-            out.append({"rec": "totals", "totals": baseline})
-        out.extend(records)
-        self._journal.rewrite(out)
-        return len(out)
+        if any(baseline.values()):
+            records.insert(0, {"rec": "totals", "totals": baseline})
+        self._journal.rewrite(records)
+        return len(records)
 
     # -- submission ------------------------------------------------------------
 
@@ -818,6 +821,11 @@ class JobStore:
     def pending_cells(self) -> int:
         """Distinct cells queued or running (the backpressure measure)."""
         return len(self._inflight)
+
+    @property
+    def leases_open(self) -> int:
+        """Live remote leases (the head's own pool slots are not counted)."""
+        return sum(1 for lease in self._leases.values() if not lease.local)
 
     def retry_after_s(self) -> float:
         """Crude drain estimate used for the 429 Retry-After header."""
@@ -875,13 +883,10 @@ class JobStore:
             "cells": len(job.cells),
             "cached_at_submit": len(cached),
         })
+        hits: dict[str, list[tuple[Job, CellRecord]]] = {}
         for cell, stats in cached:
-            cell.state = "done"
-            cell.origin = ORIGIN_CACHED
-            cell.stats = stats
-            self.totals["cells_cached"] += 1
-            self.totals["cells_delivered"] += 1
-            job.emit(job._cell_event(cell))
+            self._settle(job, cell, ORIGIN_CACHED, stats)
+            hits.setdefault(cell.spec_hash, []).append((job, cell))
         for cell in subscribe:
             self._inflight[cell.spec_hash].subscribers.append(
                 (job, cell.index)
@@ -898,34 +903,12 @@ class JobStore:
         # durability) and compaction would drop them at the next boot
         # anyway, so skip the WAL — this keeps the warm submit path as
         # fast as an in-memory store.
-        journal_worthy = bool(fresh or subscribe)
-        if journal_worthy and self._journal is not None \
-                and not self._recovering:
-            records = [{
-                "rec": "job",
-                "job_id": job.job_id,
-                "tenant": tenant,
-                "created_at": job.created_at,
-                "specs": [cell.spec.to_dict() for cell in job.cells],
-            }]
-            hits: dict[str, dict] = {}
-            for cell, __ in cached:
-                record = hits.setdefault(cell.spec_hash, {
-                    "rec": "resolve",
-                    "spec_hash": cell.spec_hash,
-                    "ok": True,
-                    "cells": [],
-                })
-                record["cells"].append({
-                    "job": job.job_id,
-                    "index": cell.index,
-                    "origin": ORIGIN_CACHED,
-                })
-            records.extend(hits.values())
-            self._journal.append(*records)
-        job._maybe_finish()  # fully cache-hit grids complete immediately
-        if job.is_done:
-            self.totals["jobs_done"] += 1
+        if self._journal is not None and (fresh or subscribe):
+            self._journal.append(self._job_record(job), *(
+                self._resolve_record(spec_hash, cells)
+                for spec_hash, cells in hits.items()
+            ))
+        self._finish(job)  # fully cache-hit grids complete immediately
         return job
 
     # -- scheduling ------------------------------------------------------------
@@ -952,16 +935,54 @@ class JobStore:
                 return entry
         return None
 
-    async def _worker(self) -> None:
+    def _remove_queued(self, entry: _InFlight) -> None:
+        """Drop an entry from its tenant queue, if it is still queued."""
+        queue = self._queues.get(entry.tenant)
+        if queue is None:
+            return
+        try:
+            queue.remove(entry)
+        except ValueError:
+            return
+        if not queue:
+            del self._queues[entry.tenant]
+            self._tenant_order.remove(entry.tenant)
+
+    @staticmethod
+    def _mark(
+        entry: _InFlight, state: str, worker: Optional[str] = None
+    ) -> None:
+        """Move every subscriber cell of ``entry`` to ``state``."""
+        for job, index in entry.subscribers:
+            cell = job.cells[index]
+            cell.state = state
+            cell.worker = worker
+            job.emit(job._cell_event(cell))
+
+    def _requeue(self, entry: _InFlight) -> None:
+        self._mark(entry, "queued")
+        self._enqueue(entry.tenant, entry)
+
+    async def _local_worker(self) -> None:
+        """One slot of the head's pool: an in-process lease consumer."""
+        loop = asyncio.get_running_loop()
+        run = functools.partial(
+            cell_outcome,
+            runner=self._runner,
+            timeout_s=self.timeout_s,
+            retries=self.retries,
+        )
         while self._running:
-            entry = self._next_entry()
-            if entry is None:
+            lease = self.grant_lease("", max_cells=1)
+            if lease is None:
                 self._work.clear()
                 await self._work.wait()
                 continue
-            await self._execute(entry)
+            (entry,) = lease.entries.values()
+            outcome = await loop.run_in_executor(self._pool, run, entry.spec)
+            self.push_results(lease.lease_id, lease.token, [outcome])
 
-    # -- remote leases ---------------------------------------------------------
+    # -- leases ----------------------------------------------------------------
 
     def grant_lease(
         self, worker_id: str, max_cells: int = 4
@@ -969,10 +990,11 @@ class JobStore:
         """Pop up to ``max_cells`` queued cells into a new lease.
 
         Returns ``None`` when no work is queued.  Granted cells leave the
-        tenant queues (local workers cannot pick them up) but stay in
-        ``_inflight`` so later submissions still dedup onto them; each
-        grant charges one ``worker_attempts`` against the cell's
-        ``worker_retries`` budget.
+        tenant queues but stay in ``_inflight`` so later submissions
+        still dedup onto them.  A remote grant is journaled, expires
+        ``lease_ttl_s`` after its last heartbeat, and charges one
+        ``worker_attempts`` against each cell's ``worker_retries``
+        budget; a local grant (``worker_id=""``) does none of that.
         """
         entries: list[_InFlight] = []
         while len(entries) < max(1, max_cells):
@@ -988,31 +1010,18 @@ class JobStore:
             token=secrets.token_hex(8),
             worker_id=worker_id,
             ttl_s=self.lease_ttl_s,
-            deadline=time.monotonic() + self.lease_ttl_s,
+            deadline=math.inf,
         )
+        lease.renew()
         for entry in entries:
-            entry.worker_attempts += 1
+            if not lease.local:
+                entry.worker_attempts += 1
             lease.entries[entry.spec_hash] = entry
-            for job, index in entry.subscribers:
-                cell = job.cells[index]
-                cell.state = "running"
-                cell.worker = worker_id
-                job.emit(job._cell_event(cell))
+            self._mark(entry, "running", worker_id or None)
         self._leases[lease.lease_id] = lease
-        self.totals["leases_granted"] += 1
-        # Journaling the token lets a restarted head restore the lease
-        # and accept this worker's pushes as if nothing happened.
-        self._journal_append({
-            "rec": "lease",
-            "lease_id": lease.lease_id,
-            "token": lease.token,
-            "worker_id": worker_id,
-            "ttl_s": lease.ttl_s,
-            "cells": {
-                spec_hash: entry.worker_attempts
-                for spec_hash, entry in lease.entries.items()
-            },
-        })
+        if not lease.local:
+            self.totals["leases_granted"] += 1
+            self._journal_append(self._lease_record(lease))
         return lease
 
     def _check_lease(self, lease_id: str, token: str) -> Lease:
@@ -1024,17 +1033,17 @@ class JobStore:
     def heartbeat(self, lease_id: str, token: str) -> Lease:
         """Extend a live lease's deadline by a full TTL."""
         lease = self._check_lease(lease_id, token)
-        lease.deadline = time.monotonic() + lease.ttl_s
+        lease.renew()
         return lease
 
     def push_results(
         self,
         lease_id: str,
         token: str,
-        outcomes: Sequence[dict],
+        outcomes: Sequence[CellOutcome],
         worker_id: str = "",
     ) -> dict:
-        """Accept per-cell outcomes from a remote worker.
+        """Fold executed cells back in, from a remote worker or a local slot.
 
         Outcomes are keyed by ``spec_hash`` and accepted whenever the
         cell is still unresolved — even if the lease already expired and
@@ -1046,66 +1055,25 @@ class JobStore:
         lease = self._leases.get(lease_id)
         if lease is not None and lease.token != token:
             raise UnknownLeaseError(lease_id)
+        worker_id = worker_id or (lease.worker_id if lease else "")
         accepted = 0
-        stale = 0
         for outcome in outcomes:
-            if self._accept_outcome(outcome, worker_id):
+            entry = self._inflight.get(outcome.spec_hash)
+            if entry is not None:
+                self._resolve(entry, outcome, worker_id)
                 accepted += 1
-            else:
-                stale += 1
-                self.totals["results_stale"] += 1
+        stale = len(outcomes) - accepted
+        self.totals["results_stale"] += stale
         if lease is not None:
-            lease.deadline = time.monotonic() + lease.ttl_s
+            lease.renew()
             if not lease.entries:
-                del self._leases[lease.lease_id]
-                self._journal_lease_closed(lease.lease_id)
+                self._close_lease(lease)
                 lease = None
         return {
             "accepted": accepted,
             "stale": stale,
             "lease_open": lease is not None,
         }
-
-    def _accept_outcome(self, outcome: dict, worker_id: str) -> bool:
-        """Resolve one remotely executed cell; False if it went stale."""
-        spec_hash = outcome["spec_hash"]
-        entry = self._inflight.pop(spec_hash, None)
-        if entry is None:
-            return False
-        self._remove_queued(entry)
-        for lease in self._leases.values():
-            lease.entries.pop(spec_hash, None)
-        stats: Optional[RunStats] = None
-        error: Optional[dict] = None
-        if outcome.get("error") is not None:
-            error = dict(outcome["error"])
-        else:
-            stats = outcome["stats"]
-            if not isinstance(stats, RunStats):
-                stats = RunStats.from_dict(stats)
-            if self.cache is not None:
-                # Artifact replication: the head's cache now serves this
-                # cell to every future submission and cache-warming worker.
-                self.cache.put(entry.spec, stats)
-        self.totals["cells_remote"] += 1
-        if outcome.get("simulated", True) and error is None:
-            for job, index in entry.subscribers:
-                job.cells[index].worker = worker_id or None
-        self._resolve(entry, stats, error, remote=True)
-        return True
-
-    def _remove_queued(self, entry: _InFlight) -> None:
-        """Drop an entry from its tenant queue, if it is still queued."""
-        queue = self._queues.get(entry.tenant)
-        if queue is None:
-            return
-        try:
-            queue.remove(entry)
-        except ValueError:
-            return
-        if not queue:
-            del self._queues[entry.tenant]
-            self._tenant_order.remove(entry.tenant)
 
     def release_cells(
         self,
@@ -1135,25 +1103,18 @@ class JobStore:
             if entry is None or spec_hash not in self._inflight:
                 continue
             entry.worker_attempts = max(0, entry.worker_attempts - 1)
-            for job, index in entry.subscribers:
-                cell = job.cells[index]
-                cell.state = "queued"
-                cell.worker = None
-                job.emit(job._cell_event(cell))
-            self._enqueue(entry.tenant, entry)
+            self._requeue(entry)
             released.append(spec_hash)
-            self.totals["cells_released"] += 1
+        self.totals["cells_released"] += len(released)
         if released:
             self._journal_append({
                 "rec": "release",
                 "lease_id": lease_id,
                 "spec_hashes": released,
             })
-        lease_open = bool(lease.entries)
-        if not lease_open:
-            del self._leases[lease_id]
-            self._journal_lease_closed(lease_id)
-        return {"released": len(released), "lease_open": lease_open}
+        if not lease.entries:
+            self._close_lease(lease)
+        return {"released": len(released), "lease_open": bool(lease.entries)}
 
     def reap_expired(self, now: Optional[float] = None) -> int:
         """Requeue (or fail) the cells of every lease past its deadline.
@@ -1161,41 +1122,36 @@ class JobStore:
         Each expired lease's cells are requeued exactly once — back onto
         their tenants' queues with state reset to ``queued`` — unless
         their ``worker_retries`` budget is spent, in which case they
-        resolve as structured ``worker_lost`` failures.  Returns the
-        number of cells requeued.
+        resolve as structured ``worker_lost`` failures.  Local leases
+        never expire.  Returns the number of cells requeued.
         """
         now = time.monotonic() if now is None else now
         requeued = 0
-        for lease_id in [
-            lid for lid, lease in self._leases.items()
-            if lease.deadline <= now
+        for lease in [
+            lease for lease in self._leases.values() if lease.deadline <= now
         ]:
-            lease = self._leases.pop(lease_id)
+            self._close_lease(lease)
             self.totals["leases_reaped"] += 1
-            self._journal_lease_closed(lease_id)
             for entry in lease.entries.values():
                 if entry.spec_hash not in self._inflight:
                     continue  # resolved by a late push; nothing to redo
                 if entry.worker_attempts <= self.worker_retries:
-                    for job, index in entry.subscribers:
-                        cell = job.cells[index]
-                        cell.state = "queued"
-                        cell.worker = None
-                        job.emit(job._cell_event(cell))
-                    self._enqueue(entry.tenant, entry)
+                    self._requeue(entry)
                     self.totals["cells_requeued"] += 1
                     requeued += 1
                 else:
-                    self._inflight.pop(entry.spec_hash, None)
-                    self._resolve(entry, None, {
-                        "kind": "worker_lost",
-                        "message": (
-                            f"worker {lease.worker_id!r} lost lease "
-                            f"{lease_id} after {entry.worker_attempts} "
-                            f"attempt(s)"
-                        ),
-                        "attempts": entry.worker_attempts,
-                    })
+                    self._resolve(entry, CellOutcome(
+                        spec_hash=entry.spec_hash,
+                        error={
+                            "kind": "worker_lost",
+                            "message": (
+                                f"worker {lease.worker_id!r} lost lease "
+                                f"{lease.lease_id} after "
+                                f"{entry.worker_attempts} attempt(s)"
+                            ),
+                            "attempts": entry.worker_attempts,
+                        },
+                    ))
         return requeued
 
     async def _reaper(self) -> None:
@@ -1208,107 +1164,81 @@ class JobStore:
             except Exception:
                 pass  # never let a reap error kill the loop
 
-    # -- execution -------------------------------------------------------------
-
-    def _run_cell_blocking(self, spec: SimSpec) -> RunStats:
-        """Executor-thread body: simulate one cell and persist it."""
-        if self._runner is not None:
-            stats = self._runner(spec)
-        elif self.executor_kind == "inline":
-            stats = run_spec(spec)
-        else:
-            stats = execute_cell(
-                spec, timeout_s=self.timeout_s, retries=self.retries
-            )
-        if self.cache is not None:
-            self.cache.put(spec, stats)
-        return stats
-
-    async def _execute(self, entry: _InFlight) -> None:
-        for job, index in entry.subscribers:
-            cell = job.cells[index]
-            cell.state = "running"
-            job.emit(job._cell_event(cell))
-        loop = asyncio.get_running_loop()
-        stats: Optional[RunStats] = None
-        error: Optional[dict] = None
-        try:
-            stats = await loop.run_in_executor(
-                self._pool, self._run_cell_blocking, entry.spec
-            )
-        except CellExecutionError as exc:
-            error = {
-                "kind": exc.kind,
-                "message": exc.message,
-                "attempts": exc.attempts,
-            }
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # inline runner failures
-            error = {
-                "kind": _failure_kind(exc),
-                "message": f"{type(exc).__name__}: {exc}",
-                "attempts": 1,
-            }
-        finally:
-            self._inflight.pop(entry.spec_hash, None)
-        self._resolve(entry, stats, error)
+    # -- resolution ------------------------------------------------------------
 
     def _resolve(
-        self,
-        entry: _InFlight,
-        stats: Optional[RunStats],
-        error: Optional[dict],
-        remote: bool = False,
+        self, entry: _InFlight, outcome: CellOutcome, worker_id: str = ""
     ) -> None:
+        """Fold one outcome into every subscriber, the cache, and the WAL
+        (``worker_id``: the remote worker that produced it, or "")."""
+        if outcome.error is None and self.cache is not None:
+            # Artifact replication: the head's cache now serves this
+            # cell to every future submission and cache-warming worker.
+            # A result the head cannot persist is a failed cell, never a
+            # half-folded one.
+            try:
+                self.cache.put(entry.spec, outcome.stats)
+            except OSError as exc:
+                outcome = CellOutcome(spec_hash=entry.spec_hash, error={
+                    "kind": "error",
+                    "message": f"result cache write failed: {exc}",
+                    "attempts": 1,
+                })
+        self._inflight.pop(entry.spec_hash, None)
+        self._remove_queued(entry)
+        for lease in self._leases.values():
+            lease.entries.pop(entry.spec_hash, None)
+        if worker_id:
+            self.totals["cells_remote"] += 1
         for position, (job, index) in enumerate(entry.subscribers):
             cell = job.cells[index]
-            if error is None:
-                cell.state = "done"
-                cell.origin = (
-                    ORIGIN_SIMULATED if position == 0 else ORIGIN_DEDUPED
-                )
-                cell.stats = stats
-                key = (
-                    "cells_simulated" if position == 0 else "cells_deduped"
-                )
-                self.totals[key] += 1
-                self.totals["cells_delivered"] += 1
-            else:
-                cell.state = "failed"
-                cell.error = dict(error)
-                kind = error["kind"]
-                job.failure_kinds[kind] = job.failure_kinds.get(kind, 0) + 1
-                kinds = self.totals["failure_kinds"]
-                kinds[kind] = kinds.get(kind, 0) + 1
-                self.totals["cells_failed"] += 1
-            job.emit(job._cell_event(cell))
-            if not job.is_done:
-                job._maybe_finish()
-                if job.is_done:
-                    self.totals["jobs_done"] += 1
-        if self._journal is not None and not self._recovering:
-            record: dict = {
-                "rec": "resolve",
-                "spec_hash": entry.spec_hash,
-                "ok": error is None,
-                "cells": [],
-            }
-            for job, index in entry.subscribers:
-                cell = job.cells[index]
-                ref = {
-                    "job": job.job_id,
-                    "index": index,
-                    "origin": cell.origin,
-                }
-                if cell.worker:
-                    ref["worker"] = cell.worker
-                record["cells"].append(ref)
-            if error is not None:
-                record["error"] = dict(error)
-            if remote:
-                record["remote"] = True
-            self._journal.append(record)
+            if outcome.simulated and outcome.error is None:
+                cell.worker = worker_id or None
+            self._settle(
+                job,
+                cell,
+                ORIGIN_SIMULATED if position == 0 else ORIGIN_DEDUPED,
+                outcome.stats,
+                outcome.error,
+            )
+            self._finish(job)
+        self._journal_append(self._resolve_record(
+            entry.spec_hash,
+            [(job, job.cells[index]) for job, index in entry.subscribers],
+            outcome.error,
+            remote=bool(worker_id),
+        ))
+
+    def _settle(
+        self,
+        job: Job,
+        cell: CellRecord,
+        origin: str,
+        stats: Optional[RunStats] = None,
+        error: Optional[dict] = None,
+    ) -> None:
+        """Resolve one cell (live, at submit, or on replay) and count it."""
+        if error is None:
+            cell.state = "done"
+            cell.origin = origin
+            cell.stats = stats
+            self.totals[_ORIGIN_TOTALS.get(origin, "cells_deduped")] += 1
+            self.totals["cells_delivered"] += 1
+        else:
+            cell.state = "failed"
+            cell.error = dict(error)
+            kind = cell.error.get("kind", "error")
+            job.failure_kinds[kind] = job.failure_kinds.get(kind, 0) + 1
+            kinds = self.totals["failure_kinds"]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            self.totals["cells_failed"] += 1
+        job.emit(job._cell_event(cell))
+
+    def _finish(self, job: Job) -> None:
+        if not job.is_done:
+            job._maybe_finish()
+            if job.is_done:
+                self.totals["jobs_done"] += 1
 
     # -- introspection ---------------------------------------------------------
 
@@ -1324,7 +1254,7 @@ class JobStore:
             "jobs_open": sum(
                 1 for job in self._jobs.values() if not job.is_done
             ),
-            "leases_open": len(self._leases),
+            "leases_open": self.leases_open,
             "lease_ttl_s": self.lease_ttl_s,
             "worker_retries": self.worker_retries,
             "cache_enabled": self.cache is not None,

@@ -89,8 +89,21 @@ def _json_body(obj: dict) -> bytes:
     return (json.dumps(obj) + "\n").encode("utf-8")
 
 
-def _error_body(kind: str, message: str, **extra) -> bytes:
-    return _json_body(ErrorBody(kind=kind, message=message, **extra).to_dict())
+class _Reject(Exception):
+    """An endpoint's structured error reply (an :class:`ErrorBody`)."""
+
+    def __init__(
+        self,
+        status: int,
+        kind: str,
+        message: str,
+        headers: tuple[tuple[str, str], ...] = (),
+        **extra,
+    ):
+        super().__init__(message)
+        self.status = status
+        self.body = ErrorBody(kind=kind, message=message, **extra).to_dict()
+        self.headers = headers
 
 
 class SweepServer:
@@ -126,61 +139,33 @@ class SweepServer:
         try:
             try:
                 request = await read_request(reader)
+                reply = (
+                    None if request is None
+                    else await self._route(request, writer)
+                )
             except ProtocolError as exc:
-                writer.write(render_response(
-                    exc.status, _error_body("bad_request", exc.message)
-                ))
+                reply = exc.status, ErrorBody(
+                    kind="bad_request", message=exc.message
+                ).to_dict()
             except asyncio.IncompleteReadError:
-                request = None
-            else:
-                if request is not None:
-                    await self._dispatch(request, writer)
+                reply = None
+            except _Reject as reject:
+                reply = reject.status, reject.body, reject.headers
+            if reply is not None:  # None: nothing read, or streamed
+                self._reply(writer, *reply)
             await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         except Exception as exc:  # never let a handler kill the server
             with contextlib.suppress(Exception):
-                writer.write(render_response(
-                    500,
-                    _error_body(
-                        "internal", f"{type(exc).__name__}: {exc}"
-                    ),
-                ))
+                self._reply(writer, 500, ErrorBody(
+                    kind="internal", message=f"{type(exc).__name__}: {exc}"
+                ).to_dict())
                 await writer.drain()
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
-
-    async def _dispatch(
-        self, request: Request, writer: asyncio.StreamWriter
-    ) -> None:
-        segments = request.segments
-        if segments == ["healthz"] and request.method == "GET":
-            return self._reply(writer, 200, self._health())
-        if segments == ["stats"] and request.method == "GET":
-            return self._reply(writer, 200, self.store.stats_dict())
-        if segments == ["jobs"]:
-            if request.method != "POST":
-                return self._method_not_allowed(writer, "POST")
-            return await self._submit(request, writer)
-        if len(segments) >= 2 and segments[0] == "jobs":
-            if request.method != "GET":
-                return self._method_not_allowed(writer, "GET")
-            return await self._job_route(request, writer, segments)
-        if (
-            len(segments) == 2
-            and segments[0] == "cells"
-            and request.method == "GET"
-        ):
-            return self._artifact(writer, segments[1])
-        if segments and segments[0] == "leases":
-            if request.method != "POST":
-                return self._method_not_allowed(writer, "POST")
-            return self._lease_route(request, writer, segments)
-        writer.write(render_response(
-            404, _error_body("not_found", f"no route for {request.path}")
-        ))
 
     def _reply(
         self,
@@ -195,37 +180,47 @@ class SweepServer:
             extra_headers=(("Server", SERVER_NAME),) + extra_headers,
         ))
 
-    def _method_not_allowed(
-        self, writer: asyncio.StreamWriter, allowed: str
-    ) -> None:
-        writer.write(render_response(
-            405,
-            _error_body("method_not_allowed", f"use {allowed}"),
-            extra_headers=(("Allow", allowed),),
-        ))
+    async def _route(self, request: Request, writer: asyncio.StreamWriter):
+        """Run the endpoint for ``request``: ``(status, body)`` or None."""
+        head, *rest = request.segments or [""]
+        method = request.method
+        if method == "GET" and not rest and head == "healthz":
+            return 200, self._health()
+        if method == "GET" and not rest and head == "stats":
+            return 200, self.store.stats_dict()
+        if method == "GET" and len(rest) == 1 and head == "cells":
+            return 200, self._artifact(rest[0])
+        allowed = {"jobs": "GET" if rest else "POST", "leases": "POST"}
+        if head not in allowed:
+            raise _Reject(404, "not_found", f"no route for {request.path}")
+        if method != allowed[head]:
+            raise _Reject(
+                405, "method_not_allowed", f"use {allowed[head]}",
+                headers=(("Allow", allowed[head]),),
+            )
+        if head == "leases":
+            return self._lease_route(request, rest)
+        if not rest:
+            return await self._submit(request)
+        return await self._job_route(request, writer, rest)
 
     def _parse_body(self, request: Request, message_cls):
-        """Parse + validate a typed request body.
-
-        Returns the parsed message, or ``None`` after writing the
+        """Parse + validate a typed request body, or reject it with a
         structured 400 (``protocol_mismatch`` for version skew,
-        ``bad_request`` for anything else malformed).
-        """
+        ``bad_request`` for anything else malformed)."""
         try:
-            data = json.loads(request.body or b"{}")
-            return message_cls.from_dict(data), None
+            return message_cls.from_dict(json.loads(request.body or b"{}"))
         except VersionMismatchError as exc:
-            return None, ErrorBody(
-                kind="protocol_mismatch",
-                message=exc.message,
+            raise _Reject(
+                400, "protocol_mismatch", exc.message,
                 expected_version=exc.expected,
                 got_version=exc.got if isinstance(exc.got, int) else None,
-            )
+            ) from None
         except (KeyError, TypeError, ValueError) as exc:
-            return None, ErrorBody(
-                kind="bad_request",
-                message=f"invalid {message_cls.__name__} body: {exc}",
-            )
+            raise _Reject(
+                400, "bad_request",
+                f"invalid {message_cls.__name__} body: {exc}",
+            ) from None
 
     # -- endpoints -------------------------------------------------------------
 
@@ -239,15 +234,11 @@ class SweepServer:
             "executor": self.store.executor_kind,
             "pending_cells": self.store.pending_cells,
             "max_pending": self.store.max_pending,
-            "leases_open": len(self.store._leases),
+            "leases_open": self.store.leases_open,
         }
 
-    async def _submit(
-        self, request: Request, writer: asyncio.StreamWriter
-    ) -> None:
-        submit, error = self._parse_body(request, SubmitRequest)
-        if submit is None:
-            return self._reply(writer, 400, error.to_dict())
+    async def _submit(self, request: Request):
+        submit = self._parse_body(request, SubmitRequest)
         tenant = (
             submit.tenant
             or request.headers.get("x-repro-tenant")
@@ -258,103 +249,101 @@ class SweepServer:
                 list(submit.specs), tenant=tenant, store=self.store
             )
         except QueueFullError as exc:
-            busy = ErrorBody(
-                kind="queue_full",
-                message=str(exc),
+            raise _Reject(
+                429, "queue_full", str(exc),
+                headers=(
+                    ("Retry-After", f"{max(1, round(exc.retry_after_s))}"),
+                ),
                 pending=exc.pending,
                 limit=exc.limit,
                 retry_after_s=exc.retry_after_s,
-            )
-            return self._reply(
-                writer,
-                429,
-                busy.to_dict(),
-                extra_headers=(
-                    ("Retry-After", f"{max(1, round(exc.retry_after_s))}"),
-                ),
-            )
-        self._reply(writer, 202, JobSnapshot.from_job(job).to_dict())
+            ) from None
+        return 202, JobSnapshot.from_job(job).to_dict()
 
     async def _job_route(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        segments: list[str],
-    ) -> None:
-        job = self.store.get_job(segments[1])
+        self, request: Request, writer: asyncio.StreamWriter, rest: list
+    ):
+        job_id, *tail = rest
+        job = self.store.get_job(job_id)
         if job is None:
-            return self._reply(writer, 404, ErrorBody(
-                kind="unknown_job", message=f"no job {segments[1]!r}"
-            ).to_dict())
-        tail = segments[2:]
+            raise _Reject(404, "unknown_job", f"no job {job_id!r}")
         if tail == []:
             detail = request.query.get("detail", ["1"])[0] != "0"
-            snapshot = JobSnapshot.from_job(job, detail=detail)
-            return self._reply(writer, 200, snapshot.to_dict())
+            return 200, JobSnapshot.from_job(job, detail=detail).to_dict()
         if tail == ["results"]:
-            return self._reply(
-                writer, 200, JobResults.from_job(job).to_dict()
+            return 200, JobResults.from_job(job).to_dict()
+        if tail != ["events"]:
+            raise _Reject(
+                404, "not_found", f"no job route {'/'.join(tail)!r}"
             )
-        if tail == ["events"]:
-            writer.write(render_stream_head(
-                extra_headers=(("Server", SERVER_NAME),)
-            ))
+        writer.write(render_stream_head(
+            extra_headers=(("Server", SERVER_NAME),)
+        ))
+        await writer.drain()
+        async for event in job.events():
+            writer.write(_json_body(event))
             await writer.drain()
-            async for event in job.events():
-                writer.write(_json_body(event))
-                await writer.drain()
-            return
-        self._reply(writer, 404, ErrorBody(
-            kind="not_found", message=f"no job route {'/'.join(tail)!r}"
-        ).to_dict())
+        return None
 
-    def _artifact(self, writer: asyncio.StreamWriter, spec_hash: str) -> None:
+    def _artifact(self, spec_hash: str) -> dict:
         cache = self.store.cache
         artifact = (
             cache.read_artifact(spec_hash) if cache is not None else None
         )
         if artifact is None:
-            return self._reply(writer, 404, ErrorBody(
-                kind="unknown_artifact",
-                message=(
-                    "result cache disabled" if cache is None
-                    else f"no artifact for {spec_hash!r}"
-                ),
-            ).to_dict())
-        self._reply(writer, 200, artifact)
+            raise _Reject(404, "unknown_artifact", (
+                "result cache disabled" if cache is None
+                else f"no artifact for {spec_hash!r}"
+            ))
+        return artifact
 
     # -- lease endpoints -------------------------------------------------------
 
-    def _lease_route(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        segments: list[str],
-    ) -> None:
-        if segments == ["leases"]:
-            return self._grant(request, writer)
-        if len(segments) == 3 and segments[2] == "heartbeat":
-            return self._heartbeat(request, writer, segments[1])
-        if len(segments) == 3 and segments[2] == "results":
-            return self._push_results(request, writer, segments[1])
-        if len(segments) == 3 and segments[2] == "release":
-            return self._release(request, writer, segments[1])
-        self._reply(writer, 404, ErrorBody(
-            kind="not_found", message=f"no lease route {request.path!r}"
-        ).to_dict())
+    _LEASE_ACTIONS = {
+        "heartbeat": HeartbeatRequest,
+        "results": ResultPush,
+        "release": LeaseRelease,
+    }
 
-    def _grant(self, request: Request, writer: asyncio.StreamWriter) -> None:
-        ask, error = self._parse_body(request, LeaseRequest)
-        if ask is None:
-            return self._reply(writer, 400, error.to_dict())
+    def _lease_route(self, request: Request, rest: list):
+        if not rest:
+            return self._grant(self._parse_body(request, LeaseRequest))
+        if len(rest) != 2 or rest[1] not in self._LEASE_ACTIONS:
+            raise _Reject(
+                404, "not_found", f"no lease route {request.path!r}"
+            )
+        lease_id, action = rest
+        body = self._parse_body(request, self._LEASE_ACTIONS[action])
+        try:
+            if action == "heartbeat":
+                lease = self.store.heartbeat(lease_id, body.token)
+                reply = HeartbeatAck(
+                    lease_id=lease.lease_id,
+                    ttl_s=lease.ttl_s,
+                    expires_in_s=max(0.0, lease.deadline - time.monotonic()),
+                    cells_outstanding=len(lease.entries),
+                )
+            elif action == "results":
+                reply = ResultAck(**self.store.push_results(
+                    lease_id, body.token, body.outcomes,
+                    worker_id=body.worker_id,
+                ))
+            else:
+                reply = ReleaseAck(**self.store.release_cells(
+                    lease_id, body.token,
+                    spec_hashes=body.spec_hashes or None,
+                ))
+        except UnknownLeaseError as exc:
+            raise _Reject(404, "unknown_lease", str(exc)) from None
+        return 200, reply.to_dict()
+
+    def _grant(self, ask: LeaseRequest):
         lease = self.store.grant_lease(ask.worker_id, ask.max_cells)
         if lease is None:
-            empty = LeaseGrant(
-                lease_id="", token="", ttl_s=self.store.lease_ttl_s,
-                cells=(), retry_after_s=IDLE_RETRY_S,
-            )
-            return self._reply(writer, 200, empty.to_dict())
-        grant = LeaseGrant(
+            return 200, LeaseGrant(
+                ttl_s=self.store.lease_ttl_s, retry_after_s=IDLE_RETRY_S,
+            ).to_dict()
+        return 201, LeaseGrant(
             lease_id=lease.lease_id,
             token=lease.token,
             ttl_s=lease.ttl_s,
@@ -367,73 +356,7 @@ class SweepServer:
                 )
                 for entry in lease.entries.values()
             ),
-        )
-        self._reply(writer, 201, grant.to_dict())
-
-    def _heartbeat(
-        self, request: Request, writer: asyncio.StreamWriter, lease_id: str
-    ) -> None:
-        beat, error = self._parse_body(request, HeartbeatRequest)
-        if beat is None:
-            return self._reply(writer, 400, error.to_dict())
-        try:
-            lease = self.store.heartbeat(lease_id, beat.token)
-        except UnknownLeaseError as exc:
-            return self._reply(writer, 404, ErrorBody(
-                kind="unknown_lease", message=str(exc)
-            ).to_dict())
-        ack = HeartbeatAck(
-            lease_id=lease.lease_id,
-            ttl_s=lease.ttl_s,
-            expires_in_s=max(0.0, lease.deadline - time.monotonic()),
-            cells_outstanding=len(lease.entries),
-        )
-        self._reply(writer, 200, ack.to_dict())
-
-    def _push_results(
-        self, request: Request, writer: asyncio.StreamWriter, lease_id: str
-    ) -> None:
-        push, error = self._parse_body(request, ResultPush)
-        if push is None:
-            return self._reply(writer, 400, error.to_dict())
-        try:
-            outcome = self.store.push_results(
-                lease_id,
-                push.token,
-                [
-                    {
-                        "spec_hash": item.spec_hash,
-                        "stats": item.stats,
-                        "error": item.error,
-                        "simulated": item.simulated,
-                    }
-                    for item in push.outcomes
-                ],
-                worker_id=push.worker_id,
-            )
-        except UnknownLeaseError as exc:
-            return self._reply(writer, 404, ErrorBody(
-                kind="unknown_lease", message=str(exc)
-            ).to_dict())
-        self._reply(writer, 200, ResultAck(**outcome).to_dict())
-
-    def _release(
-        self, request: Request, writer: asyncio.StreamWriter, lease_id: str
-    ) -> None:
-        release, error = self._parse_body(request, LeaseRelease)
-        if release is None:
-            return self._reply(writer, 400, error.to_dict())
-        try:
-            outcome = self.store.release_cells(
-                lease_id,
-                release.token,
-                spec_hashes=release.spec_hashes or None,
-            )
-        except UnknownLeaseError as exc:
-            return self._reply(writer, 404, ErrorBody(
-                kind="unknown_lease", message=str(exc)
-            ).to_dict())
-        self._reply(writer, 200, ReleaseAck(**outcome).to_dict())
+        ).to_dict()
 
 
 async def serve_forever(

@@ -19,9 +19,10 @@ head's lease API (:mod:`repro.serve.server`):
    re-lease.
 3. **execute** — each cell first tries the worker's *local* result
    cache, then ``GET /cells/<hash>`` on the head (cache warming), and
-   only then simulates via the PR-7
-   :func:`~repro.experiments.orchestrator.execute_cell` path (process
-   isolation, timeout, retries) on a small thread pool.
+   only then simulates through
+   :func:`~repro.serve.scheduler.cell_outcome` — the same execution
+   body as the head's own pool (process isolation, timeout, retries) —
+   on a small thread pool.
 4. **push** — every completed cell is pushed promptly
    (``POST /leases/<id>/results``), one outcome per call, so a worker
    killed mid-batch loses at most the cells it had not finished; the
@@ -60,16 +61,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.system import RunStats
-from repro.experiments.orchestrator import (
-    CellExecutionError,
-    ResultCache,
-    _failure_kind,
-    execute_cell,
-)
+from repro.experiments.orchestrator import ResultCache
 from repro.experiments.spec import SimSpec
 from repro.serve.backoff import Backoff, jittered
 from repro.serve.client import ServeClient, ServeConnectionError, ServeError
 from repro.serve.protocol import CellOutcome, LeaseGrant, ResultPush
+from repro.serve.scheduler import cell_outcome
 
 
 def default_worker_id() -> str:
@@ -201,29 +198,17 @@ class WorkerNode:
                 return CellOutcome(
                     spec_hash=spec_hash, stats=stats, simulated=False
                 )
-        try:
-            if self._runner is not None:
-                stats = self._runner(spec)
-            else:
-                stats = execute_cell(
-                    spec, timeout_s=self.timeout_s, retries=self.retries
-                )
-        except CellExecutionError as exc:
-            return CellOutcome(spec_hash=spec_hash, error={
-                "kind": exc.kind,
-                "message": exc.message,
-                "attempts": exc.attempts,
-            })
-        except Exception as exc:  # injected-runner failures
-            return CellOutcome(spec_hash=spec_hash, error={
-                "kind": _failure_kind(exc),
-                "message": f"{type(exc).__name__}: {exc}",
-                "attempts": 1,
-            })
-        if self.cache is not None:
-            self.cache.put(spec, stats)
-        self.counters["cells_simulated"] += 1
-        return CellOutcome(spec_hash=spec_hash, stats=stats)
+        outcome = cell_outcome(
+            spec,
+            runner=self._runner,
+            timeout_s=self.timeout_s,
+            retries=self.retries,
+        )
+        if outcome.error is None:
+            if self.cache is not None:
+                self.cache.put(spec, outcome.stats)
+            self.counters["cells_simulated"] += 1
+        return outcome
 
     # -- lease handling --------------------------------------------------------
 
@@ -275,34 +260,36 @@ class WorkerNode:
             f"(head down; will re-push after reconnect)"
         )
 
-    def _push(self, grant: LeaseGrant, outcome: CellOutcome,
-              state: _BatchState) -> None:
-        if self._head_down.is_set():
-            self._buffer(grant, outcome)
-            return
+    def _push_once(self, lease_id: str, token: str, outcome: CellOutcome):
+        """One push and its counters: the ack, or None if rejected.
+        Raises :class:`ServeConnectionError` while the head is down."""
         push = ResultPush(
-            token=grant.token,
-            outcomes=(outcome,),
-            worker_id=self.worker_id,
+            token=token, outcomes=(outcome,), worker_id=self.worker_id
         )
         try:
-            ack = self._rpc(
-                f"push {outcome.spec_hash[:12]}",
-                lambda: self.client.push_results(grant.lease_id, push),
-            )
+            ack = self.client.push_results(lease_id, push)
         except ServeConnectionError:
-            self._buffer(grant, outcome)
-            return
+            raise
         except ServeError as exc:
             self._log(f"push rejected for {outcome.spec_hash[:12]}: {exc}")
             self.counters["push_rejected"] += 1
-            state.lost.set()
-            return
-        if outcome.error is None:
-            self.counters["cells_done"] += 1
-        else:
-            self.counters["cells_failed"] += 1
-        if not ack.lease_open:
+            return None
+        key = "cells_done" if outcome.error is None else "cells_failed"
+        self.counters[key] += 1
+        return ack
+
+    def _push(self, grant: LeaseGrant, outcome: CellOutcome,
+              state: _BatchState) -> None:
+        if self._head_down.is_set():
+            return self._buffer(grant, outcome)
+        try:
+            ack = self._rpc(
+                f"push {outcome.spec_hash[:12]}",
+                lambda: self._push_once(grant.lease_id, grant.token, outcome),
+            )
+        except ServeConnectionError:
+            return self._buffer(grant, outcome)
+        if ack is None or not ack.lease_open:
             state.lost.set()
 
     def _flush_unpushed(self) -> None:
@@ -312,25 +299,11 @@ class WorkerNode:
                 if not self._unpushed:
                     return
                 lease_id, token, outcome = self._unpushed[0]
-            push = ResultPush(
-                token=token, outcomes=(outcome,), worker_id=self.worker_id
-            )
             try:
-                self.client.push_results(lease_id, push)
+                if self._push_once(lease_id, token, outcome) is not None:
+                    self.counters["results_repushed"] += 1
             except ServeConnectionError:
                 return  # still down; the lease loop keeps retrying
-            except ServeError as exc:
-                self._log(
-                    f"buffered push rejected for "
-                    f"{outcome.spec_hash[:12]}: {exc}"
-                )
-                self.counters["push_rejected"] += 1
-            else:
-                if outcome.error is None:
-                    self.counters["cells_done"] += 1
-                else:
-                    self.counters["cells_failed"] += 1
-                self.counters["results_repushed"] += 1
             with self._unpushed_lock:
                 self._unpushed.pop(0)
 

@@ -9,7 +9,6 @@ estimation inside the contention-aware latency model.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Iterable, Iterator, Optional
 
 
@@ -234,8 +233,6 @@ class StatsRegistry:
     Components ask a :class:`StatsScope` (from :meth:`scope`) for named
     statistics; asking twice for the same name returns the same object, so
     producers and reporters do not need to share references explicitly.
-    The flat :meth:`counter` / :meth:`histogram` accessors remain as a
-    deprecated shim for pre-scope callers.
     """
 
     def __init__(self, name: str = "stats"):
@@ -269,28 +266,6 @@ class StatsRegistry:
                 f"bucket_width={bucket_width}, num_buckets={num_buckets}"
             )
         return hist
-
-    def counter(self, name: str) -> Counter:
-        """Deprecated flat accessor; use ``registry.scope(...).counter(...)``."""
-        warnings.warn(
-            "StatsRegistry.counter(name) is deprecated; use "
-            "registry.scope(prefix).counter(name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._counter(name)
-
-    def histogram(
-        self, name: str, bucket_width: float = 1.0, num_buckets: int = 256
-    ) -> Histogram:
-        """Deprecated flat accessor; use ``registry.scope(...).histogram(...)``."""
-        warnings.warn(
-            "StatsRegistry.histogram(name) is deprecated; use "
-            "registry.scope(prefix).histogram(name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._histogram(name, bucket_width, num_buckets)
 
     def counters(self) -> Iterator[Counter]:
         return iter(self._counters.values())

@@ -1,0 +1,68 @@
+"""Golden model-mode digests: the grid, the digest, and its regeneration.
+
+``model_digests.json`` pins the sha256 of ``RunStats.to_dict()`` for a
+small model-mode grid: all four schemes x {swim, art} on the default
+chip, plus CMP-DNUCA-3D at 4 layers / 2 pillars, at reduced refs.
+``tests/golden/test_golden_digests.py`` recomputes every digest in
+tier-1, so any change to a simulated number fails loudly.
+
+Regenerate only on purpose, and explain the diff in the change that
+makes it::
+
+    python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+if __name__ == "__main__":  # runnable without PYTHONPATH
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from repro.core.schemes import Scheme  # noqa: E402
+from repro.experiments.config import ExperimentScale  # noqa: E402
+from repro.experiments.spec import SimSpec, run_spec  # noqa: E402
+
+DIGESTS = Path(__file__).with_name("model_digests.json")
+
+SCALE = ExperimentScale(name="golden", refs_per_cpu=4000)
+
+GRID = [
+    SimSpec.make(scheme, benchmark, scale=SCALE)
+    for scheme in Scheme
+    for benchmark in ("swim", "art")
+] + [SimSpec.make(Scheme.CMP_DNUCA_3D, "swim", scale=SCALE, layers=4, pillars=2)]
+
+
+def digest(stats) -> str:
+    """sha256 of a result's canonical JSON."""
+    return hashlib.sha256(
+        json.dumps(stats.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def compute() -> dict:
+    """``{label: digest}`` for every golden cell, simulated in-process."""
+    return {spec.label(): digest(run_spec(spec)) for spec in GRID}
+
+
+def committed() -> dict:
+    return json.loads(DIGESTS.read_text())["digests"]
+
+
+def main() -> int:
+    digests = compute()
+    DIGESTS.write_text(json.dumps({
+        "refs_per_cpu": SCALE.refs_per_cpu,
+        "digests": digests,
+    }, indent=2) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,7 +40,7 @@ def test_no_packet_lost_under_heavy_load():
     network = Network(NetworkConfig(width=5, height=5, layers=1))
     generator = UniformRandomTraffic(network, 0.05, seed=2)
     generator.run(800)
-    received = network.stats.counter("nic.packets_received").value
+    received = network.stats.scope("nic").counter("packets_received").value
     assert received == generator.packets_sent
     assert network.in_flight == 0
 
@@ -64,7 +64,7 @@ def test_router_blocked_cycles_recorded_under_contention():
     generator = UniformRandomTraffic(network, 0.08, seed=4)
     generator.run(600)
     blocked = sum(
-        network.stats.counter(f"router{coord}.cycles_blocked").value
+        network.stats.scope(f"router{coord}").counter("cycles_blocked").value
         for coord in network.routers
     )
     assert blocked > 0

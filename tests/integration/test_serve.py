@@ -3,11 +3,12 @@
 Each fixture boots a :class:`SweepServer` + :class:`JobStore` on an
 event loop in a background thread, bound to an ephemeral port; tests
 talk to it with the synchronous :class:`ServeClient`, exactly as the
-CLI does.  Small grids run the real simulator (inline executor, tiny
+CLI does.  Small grids run the real simulator (in-thread run_spec, tiny
 scale); scheduling-behaviour tests inject stub runners.
 """
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -15,8 +16,9 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.core.system import RunStats
 from repro.experiments.config import ExperimentScale
-from repro.experiments.spec import SimSpec
+from repro.experiments.spec import SimSpec, run_spec
 from repro.serve.client import (
+    AsyncServeClient,
     ProtocolMismatch,
     ServeClient,
     ServeConnectionError,
@@ -109,10 +111,10 @@ class LiveServer:
 
 @pytest.fixture
 def live_server(tmp_path):
-    """Real-simulation server: inline executor, caching into tmp_path."""
+    """Real-simulation server: in-thread run_spec, caching into tmp_path."""
     server = LiveServer(
         workers=2,
-        executor="inline",
+        runner=run_spec,
         use_cache=True,
         cache_dir=str(tmp_path / "cache"),
     ).start()
@@ -331,6 +333,41 @@ class TestCliAgainstServer:
 
 
 class TestClientRetries:
+    def test_async_client_retries_a_silent_close(self):
+        """A head that accepts, reads, and hangs up without replying is a
+        transient reset: the async client replays GETs (bounded) and
+        never replays POSTs."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        accepted = []
+
+        def hang_up():
+            while True:
+                try:
+                    conn, __ = listener.accept()
+                except OSError:
+                    return  # listener closed: test over
+                accepted.append(conn.recv(65536))
+                conn.close()
+
+        threading.Thread(target=hang_up, daemon=True).start()
+        client = AsyncServeClient(
+            port=listener.getsockname()[1], transient_retries=2
+        )
+        try:
+            with pytest.raises(ServeConnectionError) as excinfo:
+                asyncio.run(client.stats())
+            assert isinstance(excinfo.value.__cause__, ConnectionResetError)
+            assert len(accepted) == 3  # the first try plus two replays
+            assert all(raw.startswith(b"GET /stats") for raw in accepted)
+            accepted.clear()
+            with pytest.raises(ServeConnectionError):
+                asyncio.run(client.submit([make_spec()]))
+            assert len(accepted) == 1
+        finally:
+            listener.close()
+
     def test_idempotent_get_survives_transient_reset(
         self, stub_server_factory
     ):

@@ -58,11 +58,11 @@ def test_accesses_partition_into_hits_and_misses(sequence):
     nuca = fresh_nuca()
     for step, (cpu, address, op) in enumerate(sequence):
         nuca.access(cpu, address, op, cycle=float(step * 7))
-    hits = nuca.stats.counter("l2.hits").value
-    misses = nuca.stats.counter("l2.misses").value
+    hits = nuca.stats.scope("l2").counter("hits").value
+    misses = nuca.stats.scope("l2").counter("misses").value
     assert hits + misses == len(sequence)
-    step1 = nuca.stats.counter("l2.hits_step1").value
-    step2 = nuca.stats.counter("l2.hits_step2").value
+    step1 = nuca.stats.scope("l2").counter("hits_step1").value
+    step2 = nuca.stats.scope("l2").counter("hits_step2").value
     assert step1 + step2 == hits
 
 

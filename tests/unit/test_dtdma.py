@@ -104,7 +104,7 @@ class TestPillarBus:
         net.quiesce()
         assert packet.ejected_cycle is not None
         bus = net.pillars[(1, 1)]
-        assert bus.stats.counter("bus.flit_transfers").value == 1
+        assert bus.stats.scope("bus").counter("flit_transfers").value == 1
 
     def test_four_layer_single_hop(self):
         # Layer 0 to layer 3 directly: still exactly one bus transfer/flit.
@@ -113,7 +113,7 @@ class TestPillarBus:
         net.quiesce()
         bus = net.pillars[(1, 1)]
         assert packet.ejected_cycle is not None
-        assert bus.stats.counter("bus.flit_transfers").value == 4
+        assert bus.stats.scope("bus").counter("flit_transfers").value == 4
 
     def test_bus_serializes_one_flit_per_cycle(self):
         net = self._network()
@@ -121,10 +121,10 @@ class TestPillarBus:
         b = net.send(Coord(1, 1, 1), Coord(1, 1, 0), size_flits=4)
         net.quiesce()
         bus = net.pillars[(1, 1)]
-        assert bus.stats.counter("bus.flit_transfers").value == 8
+        assert bus.stats.scope("bus").counter("flit_transfers").value == 8
         # 8 flits over one shared medium: both packets completed, and the
         # bus was busy at least 8 cycles.
-        assert bus.stats.counter("bus.busy_cycles").value == 8
+        assert bus.stats.scope("bus").counter("busy_cycles").value == 8
         assert a.ejected_cycle is not None and b.ejected_cycle is not None
 
     def test_no_interleaving_within_receive_vc(self):

@@ -145,7 +145,7 @@ class TestTrafficGenerators:
             1 for p in []
         )
         # All packets target the hotspot.
-        received = network.stats.counter("nic.packets_received").value
+        received = network.stats.scope("nic").counter("packets_received").value
         assert received == generator.packets_sent
 
     def test_hotspot_validation(self):

@@ -36,7 +36,7 @@ def test_replica_hit_resolves_locally(nuca):
     assert outcome.hit
     assert outcome.search_step == 1
     assert outcome.cluster == nuca.search.plan(0).local_cluster
-    assert nuca.stats.counter("l2.replica_hits").value == 1
+    assert nuca.stats.scope("l2").counter("replica_hits").value == 1
 
 
 def test_write_invalidates_replicas(nuca):
@@ -46,7 +46,7 @@ def test_write_invalidates_replicas(nuca):
     assert nuca.replica_count == 1
     nuca.access(1, address, AccessType.WRITE, 100.0)
     assert nuca.replica_count == 0
-    assert nuca.stats.counter("l2.replica_invalidations").value == 1
+    assert nuca.stats.scope("l2").counter("replica_invalidations").value == 1
 
 
 def test_read_after_invalidation_goes_remote_again(nuca):

@@ -258,16 +258,16 @@ def test_blocked_evaluate_cache_invalidated_by_credit_return():
     for vc in range(3):
         inject(up, Packet(Coord(0, 0, 0), Coord(1, 0, 0), size_flits=4), vc=vc)
     engine.run(10)
-    blocked_before = up.stats.counter(
-        f"router{Coord(0, 0, 0)}.flits_forwarded"
+    blocked_before = up.stats.scope(f"router{Coord(0, 0, 0)}").counter(
+        "flits_forwarded"
     ).value
     # Unchoke by draining the downstream LOCAL port for real.
     down.output_ports[Port.LOCAL].deliver = lambda f, v: received.append(f)
     down.output_ports[Port.LOCAL].credits = [10**6] * 3
     down.output_ports[Port.LOCAL].vc_busy = [False] * 3
     engine.run(60)
-    forwarded_after = up.stats.counter(
-        f"router{Coord(0, 0, 0)}.flits_forwarded"
+    forwarded_after = up.stats.scope(f"router{Coord(0, 0, 0)}").counter(
+        "flits_forwarded"
     ).value
     # Credits flowing back re-dirtied the upstream's cached blocked state,
     # so it resumed granting rather than replaying "blocked" forever.

@@ -10,17 +10,26 @@ and compaction must shrink the journal without changing any of it.
 import asyncio
 import json
 import os
+import shutil
+import threading
 
 import pytest
 
 from repro.serve.journal import JOURNAL_NAME, Journal
-from repro.serve.scheduler import JobStore, UnknownLeaseError
+from repro.serve.scheduler import (
+    RECOVERY_COUNTERS,
+    JobStore,
+    UnknownLeaseError,
+)
 from tests.unit.test_serve_scheduler import (
     fake_stats,
     make_spec,
     outcome_for,
     run,
 )
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def journal_path(tmp_path) -> str:
@@ -254,6 +263,53 @@ class TestRecovery:
         assert ack["accepted"] == 1
         assert snapshot["state"] == "done"
 
+    def test_local_cell_running_at_crash_requeues_at_once(self, tmp_path):
+        """The head's own pool journals no lease, so a cell it was
+        running when the head died is requeued by recovery right away —
+        no lease TTL to wait out, no retry attempt spent."""
+        spec = make_spec()
+        crashed = tmp_path / "crashed"
+
+        async def scenario():
+            gate = threading.Event()
+
+            def blocked(spec):
+                gate.wait(timeout=30.0)
+                return fake_stats(spec)
+
+            head = await fresh_store(
+                tmp_path / "live", workers=1, runner=blocked
+            )
+            try:
+                job = await head.submit([spec], tenant="a")
+                for __ in range(100):
+                    if job.cells[0].state == "running":
+                        break
+                    await asyncio.sleep(0.01)
+                # The crash: a new head boots from the journal exactly
+                # as the running one left it.
+                shutil.copytree(tmp_path / "live", crashed)
+                journaled = [r["rec"] for r in read_records(crashed)]
+                restarted = await fresh_store(crashed, lease_ttl_s=3600.0)
+                try:
+                    lease = restarted.grant_lease("w2")
+                    return job.cells[0].state, journaled, restarted, lease
+                finally:
+                    await restarted.close()
+            finally:
+                gate.set()
+                await head.close()
+
+        state, journaled, restarted, lease = run(scenario())
+        totals = restarted.totals
+        assert state == "running"
+        assert journaled == ["job"]
+        assert totals["cells_requeued_on_recovery"] == 1
+        assert totals["leases_restored"] == 0
+        assert lease is not None and len(lease.entries) == 1
+        (entry,) = lease.entries.values()
+        assert entry.worker_attempts == 1  # w2's grant is the first charge
+
     def test_recovery_survives_torn_tail(self, tmp_path):
         spec = make_spec()
 
@@ -295,6 +351,51 @@ class TestRecovery:
         stats = run(scenario())
         assert stats["journal_enabled"] is False
         assert stats["journal_path"] is None
+
+
+class TestJournalFormatCompatibility:
+    """``fixtures/journal_v1`` is a head directory (journal plus cache
+    artifacts) written by the head revision that predates the shared
+    codec and the lease-consuming local pool.  It holds every record kind
+    — a compaction ``totals`` baseline and ``attempts`` floor, an open
+    lease, remote, local, cached, deduped and failed resolves, a release
+    and a closed lease — and ``journal_v1_expected.json`` records the
+    ``/stats`` and job snapshots that revision recovered from it."""
+
+    @staticmethod
+    def boot(cache_dir) -> tuple:
+        async def scenario():
+            store = await fresh_store(cache_dir, worker_retries=1)
+            try:
+                stats = store.stats_dict()
+                stats.pop("journal_path")
+                jobs = {
+                    job_id: {
+                        key: value
+                        for key, value in job.snapshot(detail=False).items()
+                        if key not in ("created_at", "elapsed_s")
+                    }
+                    for job_id, job in store._jobs.items()
+                }
+                return stats, jobs
+            finally:
+                await store.close()
+
+        return run(scenario())
+
+    def test_recovers_to_the_recorded_stats(self, tmp_path):
+        shutil.copytree(os.path.join(FIXTURES, "journal_v1"), tmp_path / "h")
+        with open(os.path.join(FIXTURES, "journal_v1_expected.json")) as f:
+            expected = json.load(f)
+        stats, jobs = self.boot(tmp_path / "h")
+        assert stats == expected["stats"]
+        assert jobs == expected["jobs"]
+        # The new head compacted the journal at boot; booting again from
+        # its rewrite keeps every cumulative total.
+        again, __ = self.boot(tmp_path / "h")
+        for key in RECOVERY_COUNTERS:
+            again.pop(key), stats.pop(key)
+        assert again == stats
 
 
 class TestCompaction:

@@ -1,7 +1,7 @@
 """Unit tests for the multi-tenant JobStore scheduler.
 
-Cells are stubbed with injected runners (the executor threads call them
-directly), so these tests pin the scheduling semantics — in-flight
+Cells are stubbed with injected runners (the head's pool threads call
+them directly), so these tests pin the scheduling semantics — in-flight
 dedup, per-tenant fairness, backpressure, structured failure kinds —
 without simulating anything.  The HTTP layer is covered by
 ``tests/integration/test_serve.py``.
@@ -9,6 +9,7 @@ without simulating anything.  The HTTP layer is covered by
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core.system import RunStats
 from repro.experiments.config import ExperimentScale
 from repro.experiments.orchestrator import ResultCache
 from repro.experiments.spec import SimSpec
+from repro.serve.protocol import CellOutcome
 from repro.serve.scheduler import JobStore, QueueFullError
 
 TINY = ExperimentScale(name="tiny", refs_per_cpu=50)
@@ -92,10 +94,6 @@ class TestLifecycle:
                 await store.submit([make_spec()])
 
         run(scenario())
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="process.*inline"):
-            JobStore(executor="threads")
 
     def test_job_completes_with_counters(self):
         async def scenario():
@@ -403,12 +401,85 @@ class TestEvents:
         assert events[-1]["event"] == "done"
 
 
-def outcome_for(spec: SimSpec, error: dict = None) -> dict:
-    """A remote-worker outcome dict as push_results consumes it."""
-    base = {"spec_hash": spec.spec_hash(), "simulated": True}
+class TestLocalLeases:
+    """The head's own pool runs cells as local leases: never reaped,
+    never charged a worker attempt, invisible to the remote counters."""
+
+    def test_slow_local_cell_outlives_the_lease_ttl(self):
+        def slow(spec):
+            time.sleep(0.5)  # ten reaper sweeps at this TTL
+            return fake_stats(spec)
+
+        async def scenario():
+            store = await started_store(runner=slow, lease_ttl_s=0.1)
+            try:
+                job = await store.submit([make_spec()], tenant="a")
+                snapshot = await asyncio.wait_for(job.wait(), timeout=10.0)
+                return snapshot, store.stats_dict()
+            finally:
+                await store.close()
+
+        snapshot, stats = run(scenario())
+        assert (snapshot["simulated"], snapshot["failed"]) == (1, 0)
+        assert stats["failure_kinds"] == {}
+        assert stats["leases_reaped"] == stats["cells_requeued"] == 0
+        assert stats["leases_granted"] == stats["cells_remote"] == 0
+        assert stats["leases_open"] == 0
+
+    def test_local_slot_does_not_charge_worker_attempts(self):
+        async def scenario():
+            runner = CountingRunner(gated=True)
+            store = await started_store(runner=runner)
+            try:
+                await store.submit([make_spec()], tenant="a")
+                for __ in range(100):
+                    if runner.calls:
+                        break
+                    await asyncio.sleep(0.01)
+                (entry,) = store._inflight.values()
+                running = entry.worker_attempts, store.stats_dict()
+                runner.release()
+                return running
+            finally:
+                await store.close()
+
+        attempts, stats = run(scenario())
+        assert attempts == 0
+        assert stats["leases_open"] == 0  # local slots are not leases_open
+        assert stats["pending_cells"] == 1
+
+
+    def test_unwritable_cache_fails_the_cell_instead_of_hanging(
+        self, tmp_path
+    ):
+        async def scenario():
+            store = await started_store(
+                runner=fake_stats, use_cache=True, cache_dir=str(tmp_path)
+            )
+
+            def full_disk(spec, stats):
+                raise OSError(28, "No space left on device")
+
+            store.cache.put = full_disk
+            try:
+                job = await store.submit([make_spec()], tenant="a")
+                await asyncio.wait_for(job.wait(), timeout=10.0)
+                return job.results_dict()
+            finally:
+                await store.close()
+
+        results = run(scenario())
+        assert results["failed"] == 1
+        error = results["failures"][0]["error"]
+        assert error["kind"] == "error"
+        assert "cache write failed" in error["message"]
+
+
+def outcome_for(spec: SimSpec, error: dict = None) -> CellOutcome:
+    """A remote-worker outcome as push_results consumes it."""
     if error is not None:
-        return {**base, "stats": None, "error": error}
-    return {**base, "stats": fake_stats(spec), "error": None}
+        return CellOutcome(spec_hash=spec.spec_hash(), error=error)
+    return CellOutcome(spec_hash=spec.spec_hash(), stats=fake_stats(spec))
 
 
 async def head_only_store(**kwargs) -> JobStore:

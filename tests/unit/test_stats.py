@@ -142,37 +142,40 @@ class TestMovingAverage:
 
 class TestStatsRegistry:
     def test_same_name_same_object(self):
-        registry = StatsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("h") is registry.histogram("h")
+        scope = StatsRegistry().scope("s")
+        assert scope.counter("a") is scope.counter("a")
+        assert scope.histogram("h") is scope.histogram("h")
 
     def test_snapshot(self):
         registry = StatsRegistry()
-        registry.counter("c").increment(7)
-        registry.histogram("h").add(2.0)
+        registry.scope("s").counter("c").increment(7)
+        registry.scope("s").histogram("h").add(2.0)
         snap = registry.snapshot()
-        assert snap["c"] == 7
-        assert snap["h.mean"] == 2.0
-        assert snap["h.count"] == 1
+        assert snap["s.c"] == 7
+        assert snap["s.h.mean"] == 2.0
+        assert snap["s.h.count"] == 1
 
     def test_reset_all(self):
         registry = StatsRegistry()
-        registry.counter("c").increment()
-        registry.histogram("h").add(1.0)
+        scope = registry.scope("s")
+        scope.counter("c").increment()
+        scope.histogram("h").add(1.0)
         registry.reset()
-        assert registry.counter("c").value == 0
-        assert registry.histogram("h").count == 0
+        assert scope.counter("c").value == 0
+        assert scope.histogram("h").count == 0
 
     def test_histogram_bucketing_mismatch_rejected(self):
         registry = StatsRegistry()
-        registry.histogram("h", bucket_width=2.0, num_buckets=16)
+        registry.scope("s").histogram("h", bucket_width=2.0, num_buckets=16)
+        # A second scope onto the same prefix is the same namespace.
+        scope = registry.scope("s")
         with pytest.raises(ValueError, match="already exists"):
-            registry.histogram("h", bucket_width=1.0, num_buckets=16)
+            scope.histogram("h", bucket_width=1.0, num_buckets=16)
         with pytest.raises(ValueError, match="already exists"):
-            registry.histogram("h", bucket_width=2.0, num_buckets=32)
+            scope.histogram("h", bucket_width=2.0, num_buckets=32)
         # Re-requesting with matching bucketing still shares the object.
-        assert registry.histogram("h", bucket_width=2.0, num_buckets=16) \
-            is registry.histogram("h", bucket_width=2.0, num_buckets=16)
+        assert scope.histogram("h", bucket_width=2.0, num_buckets=16) \
+            is scope.histogram("h", bucket_width=2.0, num_buckets=16)
 
     def test_snapshot_includes_underflow_and_overflow(self):
         # Regression: snapshot() silently omitted out-of-range samples,
@@ -197,11 +200,10 @@ class TestStatsScope:
 
     def test_scope_shares_objects_with_full_name(self):
         registry = StatsRegistry()
-        scope = registry.scope("nic")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat = registry.counter("nic.injected")
-        assert scope.counter("injected") is flat
+        scope = registry.scope("noc.nic")
+        nested = registry.scope("noc").scope("nic")
+        assert nested.counter("injected") is scope.counter("injected")
+        assert scope.counter("injected").name == "noc.nic.injected"
 
     def test_nested_scopes(self):
         registry = StatsRegistry()
@@ -233,12 +235,12 @@ class TestStatsScope:
         registry.scope("nic").counter("flits").increment(9)
         assert registry.scope("bus").snapshot() == {"bus.flits": 4}
 
-    def test_flat_shim_warns_deprecation(self):
+    def test_flat_accessors_are_gone(self):
+        # Every statistic lives under a scope; the flat registry-level
+        # counter()/histogram() accessors were retired.
         registry = StatsRegistry()
-        with pytest.warns(DeprecationWarning, match="scope"):
-            registry.counter("legacy")
-        with pytest.warns(DeprecationWarning, match="scope"):
-            registry.histogram("legacy_hist")
+        assert not hasattr(registry, "counter")
+        assert not hasattr(registry, "histogram")
 
     def test_scope_calls_do_not_warn(self):
         registry = StatsRegistry()
