@@ -2,7 +2,9 @@
 
 ``model_digests.json`` pins the sha256 of ``RunStats.to_dict()`` for a
 small model-mode grid: all four schemes x {swim, art} on the default
-chip, plus CMP-DNUCA-3D at 4 layers / 2 pillars, at reduced refs.
+chip, plus CMP-DNUCA-3D at 4 layers / 2 pillars and CMP-DNUCA-3D with
+two dead pillars, at reduced refs.  The faulty cell is the one that
+catches a path cache that outlives a change to the alive-pillar set.
 ``tests/golden/test_golden_digests.py`` recomputes every digest in
 tier-1, so any change to a simulated number fails loudly.
 
@@ -26,6 +28,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH
 from repro.core.schemes import Scheme  # noqa: E402
 from repro.experiments.config import ExperimentScale  # noqa: E402
 from repro.experiments.spec import SimSpec, run_spec  # noqa: E402
+from repro.faults.spec import FaultSpec  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("model_digests.json")
 
@@ -35,7 +38,11 @@ GRID = [
     SimSpec.make(scheme, benchmark, scale=SCALE)
     for scheme in Scheme
     for benchmark in ("swim", "art")
-] + [SimSpec.make(Scheme.CMP_DNUCA_3D, "swim", scale=SCALE, layers=4, pillars=2)]
+] + [
+    SimSpec.make(Scheme.CMP_DNUCA_3D, "swim", scale=SCALE, layers=4, pillars=2),
+    SimSpec.make(Scheme.CMP_DNUCA_3D, "swim", scale=SCALE,
+                 faults=FaultSpec(dead_pillars=2)),
+]
 
 
 def digest(stats) -> str:
