@@ -41,8 +41,8 @@ class FaultState:
         self.dead_links: set[tuple[Coord, Port]] = set()
         self.jammed_ports: set[tuple[Coord, Port]] = set()
         self.dead_banks: set[tuple[int, int]] = set()
-        # Bumped on every inject/heal; consumers cache derived data
-        # (e.g. the model-mode alive-pillar list) keyed by epoch.
+        # Bumped on every inject/heal.  Consumers that cache derived
+        # data (the model-mode path memo) subscribe via add_listener.
         self.epoch = 0
         self._listeners: list[FaultListener] = []
         # Network hook: called once per lost in-network packet so
