@@ -1,8 +1,9 @@
-"""Tier-1 gate: model-mode results are bit-identical to committed digests.
+"""Tier-1 gate: simulated results are bit-identical to committed digests.
 
-Every cell of the golden grid (:mod:`tests.golden.regen`) is simulated
+Every cell of the golden grids (:mod:`tests.golden.regen`) is simulated
 again and the sha256 of its ``RunStats.to_dict()`` compared with
-``tests/golden/model_digests.json``.  One golden cell also travels both
+``tests/golden/model_digests.json`` or, for the cycle-mode cells,
+``tests/golden/cycle_digests.json``.  One golden cell also travels both
 routes of the sweep service's single execution path — a slot of the
 head's own pool (``JobStore(runner=run_spec)``) and a remote
 :class:`~repro.serve.worker.WorkerNode` lease — and must come back with
@@ -17,7 +18,9 @@ from repro.experiments.spec import run_spec
 from repro.serve.chaos import RestartableHead
 from repro.serve.scheduler import JobStore
 from repro.serve.worker import WorkerNode
-from tests.golden.regen import GRID, committed, digest
+from tests.golden.regen import (
+    CYCLE_DIGESTS, CYCLE_GRID, GRID, committed, compute, digest,
+)
 
 #: The golden cell sent through the sweep service.
 SERVICE_SPEC = next(spec for spec in GRID if spec.benchmark == "art")
@@ -26,8 +29,13 @@ SERVICE_SPEC = next(spec for spec in GRID if spec.benchmark == "art")
 def test_grid_matches_committed_digests():
     expected = committed()
     assert sorted(expected) == sorted(spec.label() for spec in GRID)
-    actual = {spec.label(): digest(run_spec(spec)) for spec in GRID}
-    assert actual == expected
+    assert compute(GRID) == expected
+
+
+def test_cycle_grid_matches_committed_digests():
+    expected = committed(CYCLE_DIGESTS)
+    assert sorted(expected) == sorted(spec.label() for spec in CYCLE_GRID)
+    assert compute(CYCLE_GRID) == expected
 
 
 def test_head_local_pool_returns_golden_digest():
