@@ -70,7 +70,8 @@ TRIALS = 3
 VECTOR_REPEATS = 3
 
 # Sparse point: one leg in flight at a time on the large mesh — the
-# CyclePricer regime (send one packet, run the engine until delivery).
+# cycle-mode medium regime (send one packet, run the engine until
+# delivery).
 SPARSE_LEGS = 200
 
 

@@ -2,7 +2,8 @@
 
 Binds the placed chip topology, the NUCA L2 with its management policies,
 the coherent L1s, and the in-order cores, and prices every L2 transaction's
-network traffic.  Two fidelity modes:
+network traffic with the Section 4.2.1 walk of :mod:`repro.core.pricing`.
+Two fidelity modes pick the medium that walk prices packets on:
 
 * ``mode="model"`` (default) — packets are priced by the contention-aware
   analytic :class:`~repro.core.latency_model.LatencyModel`; fast enough for
@@ -10,20 +11,6 @@ network traffic.  Two fidelity modes:
 * ``mode="cycle"`` — every packet is injected into the cycle-accurate
   fabric (:mod:`repro.core.cycle_driver`); exact, used by tests and
   microbenchmarks and to calibrate the model.
-
-The L2 transaction timing follows Section 4.2.1's two-step search:
-
-* hit in the local cluster: direct tag access, then request to the bank
-  and the data's return trip;
-* hit in a step-1 neighbour: parallel tag queries, then the winning
-  cluster forwards to its bank, data returns;
-* hit in step 2: the full step-1 round-trip (all step-1 misses must
-  return) precedes the multicast, then the same forward/return path;
-* L2 miss: both steps complete, then the 260-cycle memory access.
-
-The CMP-DNUCA baseline instead uses *perfect search* (the paper grants it
-that advantage, following Beckmann & Wood): the request goes straight to
-the owning cluster.
 """
 
 from __future__ import annotations
@@ -40,7 +27,8 @@ from repro.core.chip import ChipTopology
 from repro.core.placement import PlacementPolicy, build_topology
 from repro.core.schemes import Scheme, SchemeSetup, make_chip_config
 from repro.core.latency_model import LatencyModel, LatencyModelConfig
-from repro.cache.nuca import NucaL2, AccessType, AccessOutcome
+from repro.core.pricing import ModelMedium, TransactionPricer
+from repro.cache.nuca import NucaL2, AccessType
 from repro.cache.migration import MigrationConfig
 from repro.coherence.protocol import CoherentL1System
 from repro.coherence.l1cache import L1Config
@@ -81,9 +69,11 @@ class SystemConfig:
     activity_tracking: bool = True
     # Fabric implementation for mode="cycle": OPTIMIZED is the
     # allocation-free hot path, REFERENCE the frozen naive fabric it is
-    # differentially verified against (bit-identical, much slower).
-    # Strings ("optimized"/"reference") are accepted and normalised to the
-    # enum by validate().
+    # differentially verified against (bit-identical, much slower), and
+    # VECTOR the numpy batch fabric (distribution-level equivalent).
+    # Strings ("optimized"/"reference"/"vector") are accepted and
+    # normalised to the enum by validate(); "auto" resolves to vector in
+    # cycle mode when numpy imports, optimized otherwise.
     noc_fabric: "FabricKind | str" = FabricKind.OPTIMIZED
     # Structured event tracing: None (default) means probe sites see the
     # NullTracer and the hot path stays allocation-free.
@@ -197,14 +187,14 @@ class NetworkInMemory:
         width, __ = setup.chip.mesh_dims
         self.memory_node = Coord(width // 2, 0, 0)
 
+        self.model = LatencyModel(self.topology, self.config.latency_model)
         if self.config.mode == "model":
-            self.model = LatencyModel(self.topology, self.config.latency_model)
-            self.pricer = _ModelPricer(self)
+            medium = ModelMedium(self.model, self.config)
         else:
-            from repro.core.cycle_driver import CyclePricer
+            from repro.core.cycle_driver import CycleMedium
 
-            self.model = LatencyModel(self.topology, self.config.latency_model)
-            self.pricer = CyclePricer(self)
+            medium = CycleMedium(self)
+        self.pricer = TransactionPricer(self, medium)
 
         self.fault_harness: Optional["FaultHarness"] = None
         if self.config.faults is not None:
@@ -235,7 +225,7 @@ class NetworkInMemory:
 
         Cycle mode installs the full machinery (injector events on the
         fabric engine, liveness watchdog, fault-aware routing) on the
-        pricer's network; bank faults additionally reach the NUCA cache.
+        cycle medium's network; bank faults additionally reach the NUCA cache.
         Model mode has no per-link state, so it supports only permanent
         onset-0 pillar and bank faults: the latency model drops dead
         pillars from its route pool and the cache degrades immediately.
@@ -247,7 +237,7 @@ class NetworkInMemory:
             from repro.faults.injector import install_network_faults
 
             self.fault_harness = install_network_faults(
-                self.pricer.network,
+                self.pricer.medium.network,
                 spec,
                 seed,
                 banks=banks,
@@ -432,7 +422,7 @@ class NetworkInMemory:
         # everything by construction.
         delivered_fraction = 1.0
         ages = {"count": 0, "mean_age": 0.0, "max_age": 0}
-        network = getattr(self.pricer, "network", None)
+        network = getattr(self.pricer.medium, "network", None)
         if network is not None:
             delivered_fraction = network.delivered_fraction()
             ages = network.in_flight_ages()
@@ -537,187 +527,3 @@ class RunStats:
         fields = dict(data)
         fields["scheme"] = Scheme(fields["scheme"])
         return cls(**fields)
-
-
-class _ModelPricer:
-    """Prices transactions with the analytic latency model."""
-
-    def __init__(self, system: NetworkInMemory):
-        self.system = system
-        self.model = system.model
-        self.cfg = system.config
-        self.topology = system.topology
-        # Per-CPU step-1 probe sets never change: cache their query targets.
-        self._step1_targets: dict[int, list[Coord]] = {}
-        self._step2_targets: dict[int, list[Coord]] = {}
-
-    def _targets(self, cpu_id: int) -> tuple[list[Coord], list[Coord]]:
-        if cpu_id not in self._step1_targets:
-            plan = self.system.l2.search.plan(cpu_id)
-            topo = self.topology
-            self._step1_targets[cpu_id] = [
-                topo.clusters[c].tag_node
-                for c in plan.step1
-                if c != plan.local_cluster
-            ]
-            self._step2_targets[cpu_id] = [
-                topo.clusters[c].tag_node for c in plan.step2
-            ]
-        return self._step1_targets[cpu_id], self._step2_targets[cpu_id]
-
-    def _query_round(
-        self, cpu_node: Coord, targets: list[Coord], cycle: float
-    ) -> float:
-        """Latency of a parallel tag-query round (max round-trip)."""
-        cfg = self.cfg
-        worst = float(cfg.tag_latency)  # the direct local tag probe
-        for tag_node in targets:
-            out = self.model.packet_latency(
-                cpu_node, tag_node, cfg.request_flits, cycle
-            )
-            back = self.model.packet_latency(
-                tag_node, cpu_node, cfg.request_flits, cycle
-            )
-            worst = max(worst, out + cfg.tag_latency + back)
-        return worst
-
-    def price(self, cpu_id: int, outcome: AccessOutcome, cycle: float) -> float:
-        cfg = self.cfg
-        model = self.model
-        cpu_node = self.topology.cpu_positions[cpu_id]
-        tag_node = outcome.tag_node
-        bank_node = outcome.bank_node
-
-        # Background traffic first: migrations and swaps load the network
-        # but are off the critical path.
-        if outcome.migration is not None:
-            src, dst = outcome.migration
-            topo = self.topology
-            model.note_packet(
-                topo.clusters[src].center, topo.clusters[dst].center,
-                cfg.data_flits, cycle,
-            )
-            model.note_packet(
-                topo.clusters[dst].center, topo.clusters[src].center,
-                cfg.data_flits, cycle,
-            )
-
-        if self.system.setup.perfect_search:
-            return self._price_perfect(cpu_node, outcome, cycle)
-
-        step1_targets, step2_targets = self._targets(cpu_id)
-        plan = self.system.l2.search.plan(cpu_id)
-
-        is_write = outcome.access_type == AccessType.WRITE
-
-        if outcome.hit and outcome.search_step == 1:
-            # Parallel step-1 queries: the hitting cluster's path decides.
-            for target in step1_targets:
-                model.note_packet(cpu_node, target, cfg.request_flits, cycle)
-            if outcome.cluster == plan.local_cluster:
-                latency = float(cfg.tag_latency)
-            else:
-                latency = model.packet_latency(
-                    cpu_node, tag_node, cfg.request_flits, cycle, record=False
-                ) + cfg.tag_latency
-            latency += self._data_phase(
-                tag_node, bank_node, cpu_node, cycle, is_write
-            )
-            return latency
-
-        # Step 1 concluded with misses everywhere.
-        latency = self._query_round(cpu_node, step1_targets, cycle)
-
-        if outcome.hit:
-            # Step-2 multicast; the hitting cluster answers.
-            for target in step2_targets:
-                model.note_packet(cpu_node, target, cfg.request_flits, cycle)
-            latency += model.packet_latency(
-                cpu_node, tag_node, cfg.request_flits, cycle, record=False
-            ) + cfg.tag_latency
-            latency += self._data_phase(
-                tag_node, bank_node, cpu_node, cycle, is_write
-            )
-            return latency
-
-        # Full L2 miss: both rounds, then memory.
-        latency += self._query_round(cpu_node, step2_targets, cycle)
-        latency += cfg.memory_latency
-        # Refill traffic from the memory port to the home bank.
-        model.note_packet(
-            self.system.memory_node, bank_node, cfg.data_flits, cycle
-        )
-        return latency
-
-    def _data_phase(
-        self,
-        tag_node: Coord,
-        bank_node: Coord,
-        cpu_node: Coord,
-        cycle: float,
-        is_write: bool = False,
-    ) -> float:
-        """After the tag match: move the data.
-
-        Reads: the tag array forwards the request to the bank, which
-        returns the line to the CPU.  Writes: the CPU ships the line to
-        the bank (write-through); nothing returns.
-        """
-        cfg = self.cfg
-        latency = 0.0
-        if is_write:
-            if cpu_node != bank_node:
-                latency += self.model.packet_latency(
-                    cpu_node, bank_node, cfg.data_flits, cycle
-                )
-            return latency + cfg.bank_latency
-        if tag_node != bank_node:
-            latency += self.model.packet_latency(
-                tag_node, bank_node, cfg.request_flits, cycle
-            )
-        latency += cfg.bank_latency
-        if bank_node != cpu_node:
-            latency += self.model.packet_latency(
-                bank_node, cpu_node, cfg.data_flits, cycle
-            )
-        return latency
-
-    def _price_perfect(
-        self, cpu_node: Coord, outcome: AccessOutcome, cycle: float
-    ) -> float:
-        """CMP-DNUCA's perfect search: straight to the owning cluster."""
-        cfg = self.cfg
-        if outcome.hit:
-            latency = 0.0
-            if cpu_node != outcome.tag_node:
-                latency += self.model.packet_latency(
-                    cpu_node, outcome.tag_node, cfg.request_flits, cycle
-                )
-            latency += cfg.tag_latency
-            latency += self._data_phase(
-                outcome.tag_node, outcome.bank_node, cpu_node, cycle,
-                outcome.access_type == AccessType.WRITE,
-            )
-            return latency
-        latency = 0.0
-        if cpu_node != outcome.tag_node:
-            latency += self.model.packet_latency(
-                cpu_node, outcome.tag_node, cfg.request_flits, cycle
-            )
-        latency += cfg.tag_latency + cfg.memory_latency
-        self.model.note_packet(
-            self.system.memory_node, outcome.bank_node, cfg.data_flits, cycle
-        )
-        return latency
-
-    def charge_invalidations(
-        self, src: Coord, cpu_targets: list[int], cycle: float
-    ) -> None:
-        """Invalidation + ack traffic (off the critical path)."""
-        cfg = self.cfg
-        for cpu in cpu_targets:
-            node = self.topology.cpu_positions[cpu]
-            if node == src:
-                continue
-            self.model.note_packet(src, node, cfg.request_flits, cycle)
-            self.model.note_packet(node, src, cfg.request_flits, cycle)
