@@ -77,6 +77,7 @@ class LatencyModel:
         self._bus_rate: dict[tuple[int, int], float] = {
             xy: 0.0 for xy in topology.pillar_xys
         }
+        # The run's traffic for RunStats (cycle mode's fabric adds to it).
         self.flit_hops_total = 0.0
         self.bus_flits_total = 0.0
         # (src, dest) -> (hops, pillar or None), filled by path().  A path
