@@ -1,4 +1,4 @@
-"""Detailed pricing-path tests for the model pricer."""
+"""Detailed pricing-path tests, run in both timing modes."""
 
 import pytest
 
@@ -7,9 +7,11 @@ from repro.core.schemes import Scheme
 from repro.core.system import NetworkInMemory, SystemConfig
 
 
-@pytest.fixture(scope="module")
-def system():
-    return NetworkInMemory(SystemConfig(scheme=Scheme.CMP_DNUCA_3D))
+@pytest.fixture(scope="module", params=["model", "cycle"])
+def system(request):
+    return NetworkInMemory(
+        SystemConfig(scheme=Scheme.CMP_DNUCA_3D, mode=request.param)
+    )
 
 
 def _hit(system, cpu, cluster, index=0, op=AccessType.READ, cycle=1e4):
@@ -33,6 +35,7 @@ def test_local_hit_cheapest(system):
     local = _hit(system, 0, plan.local_cluster, index=3)
     neighbor = next(c for c in plan.step1 if c != plan.local_cluster)
     near = _hit(system, 0, neighbor, index=4)
+    assert local.search_step == 1 and local.latency < 50
     assert local.latency < near.latency
 
 
@@ -40,6 +43,8 @@ def test_miss_costs_at_least_memory_plus_search(system):
     result = system.l2_transaction(0, 0x7abc_0000, AccessType.READ, 0.0)
     assert not result.hit
     assert result.latency > system.config.memory_latency + 20
+    again = system.l2_transaction(0, 0x7abc_0000, AccessType.READ, 1e4)
+    assert again.hit and again.latency < result.latency
 
 
 def test_cross_layer_hit_priced_with_bus(system):
@@ -50,9 +55,12 @@ def test_cross_layer_hit_priced_with_bus(system):
         c for c in plan.step1 + plan.step2
         if topo.clusters[c].layer != cpu_layer
     )
-    result = _hit(system, 0, other, index=5)
+    address = system.l2.addr_map.compose(other, 5)
+    system.l2_transaction(0, address, AccessType.READ, 0.0)
+    before = system.collect_stats().bus_flits
+    result = system.l2_transaction(0, address, AccessType.READ, 1e4)
     assert result.hit
-    assert system.model.bus_flits_total > 0
+    assert system.collect_stats().bus_flits > before
 
 
 def test_vertical_mirror_cluster_is_step1(system):
