@@ -11,7 +11,7 @@ whatever cluster holds the line) never changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.chip import ChipConfig
 
@@ -23,9 +23,12 @@ def _log2_exact(value: int, what: str) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A physical address split into NUCA placement fields."""
+class DecodedAddress(NamedTuple):
+    """A physical address split into NUCA placement fields.
+
+    A named tuple, not a frozen dataclass: one is decoded per L2
+    transaction, and a tuple builds in a fraction of the time.
+    """
 
     address: int
     line_address: int   # address >> offset_bits
@@ -62,13 +65,8 @@ class AddressMap:
         bank = index & ((1 << self.bank_bits) - 1)
         set_in_bank = index >> self.bank_bits
         return DecodedAddress(
-            address=address,
-            line_address=line_address,
-            tag=tag,
-            index=index,
-            home_cluster=home_cluster,
-            bank=bank,
-            set_in_bank=set_in_bank,
+            address, line_address, tag, index, home_cluster, bank,
+            set_in_bank,
         )
 
     def line_of(self, address: int) -> int:

@@ -48,6 +48,12 @@ class MigrationPolicy:
     def __init__(self, topology: ChipTopology, config: Optional[MigrationConfig] = None):
         self.topology = topology
         self.config = config or MigrationConfig()
+        # Both answers depend only on the placed topology, so each is
+        # computed once, on first use.  Keyed on the static topology: if
+        # migration ever reads fault state, a FaultState listener must
+        # clear them, as LatencyModel does for its path memo.
+        self._targets: dict[tuple[int, int], Optional[int]] = {}
+        self._transfers: dict[tuple[int, int], float] = {}
 
     # -- target selection -------------------------------------------------------
 
@@ -96,6 +102,14 @@ class MigrationPolicy:
         ``None`` means the line is already as close as the policy wants it
         (local cluster, the CPU's vertical vicinity, or no admissible step).
         """
+        key = (line_cluster_index, cpu_id)
+        try:
+            return self._targets[key]
+        except KeyError:
+            target = self._targets[key] = self._target(*key)
+            return target
+
+    def _target(self, line_cluster_index: int, cpu_id: int) -> Optional[int]:
         topo = self.topology
         cluster = topo.clusters[line_cluster_index]
         cpu_coord = topo.cpu_positions[cpu_id]
@@ -139,8 +153,15 @@ class MigrationPolicy:
         A coarse hop-distance estimate is sufficient here: it only controls
         how long the line stays pinned at its old location.
         """
-        topo = self.topology
-        hops = topo.cluster_distance_hops(
-            topo.clusters[from_cluster], topo.clusters[to_cluster]
-        )
-        return float(hops + self.config.transfer_flits)
+        key = (from_cluster, to_cluster)
+        try:
+            return self._transfers[key]
+        except KeyError:
+            topo = self.topology
+            hops = topo.cluster_distance_hops(
+                topo.clusters[from_cluster], topo.clusters[to_cluster]
+            )
+            latency = self._transfers[key] = float(
+                hops + self.config.transfer_flits
+            )
+            return latency

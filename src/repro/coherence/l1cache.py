@@ -44,9 +44,6 @@ class L1Cache:
         self.hits = 0
         self.misses = 0
 
-    def _set_index(self, line_address: int) -> int:
-        return line_address & self._set_mask
-
     def line_of(self, address: int) -> int:
         return address >> self._offset_bits
 
@@ -54,8 +51,12 @@ class L1Cache:
 
     def lookup(self, address: int) -> bool:
         """Probe (and LRU-update on hit) for ``address``."""
-        line = self.line_of(address)
-        ways = self._sets.get(self._set_index(line))
+        line = address >> self._offset_bits
+        ways = self._sets.get(line & self._set_mask)
+        if ways and ways[0] == line:
+            # Most hits are to the MRU way, whose order is already right.
+            self.hits += 1
+            return True
         if ways is not None and line in ways:
             ways.remove(line)
             ways.insert(0, line)
@@ -66,9 +67,8 @@ class L1Cache:
 
     def fill(self, address: int) -> Optional[int]:
         """Install a line; returns the evicted line address, if any."""
-        line = self.line_of(address)
-        index = self._set_index(line)
-        ways = self._sets.setdefault(index, [])
+        line = address >> self._offset_bits
+        ways = self._sets.setdefault(line & self._set_mask, [])
         if line in ways:
             ways.remove(line)
             ways.insert(0, line)
@@ -79,15 +79,14 @@ class L1Cache:
         return None
 
     def contains(self, address: int) -> bool:
-        line = self.line_of(address)
-        ways = self._sets.get(self._set_index(line))
+        line = address >> self._offset_bits
+        ways = self._sets.get(line & self._set_mask)
         return ways is not None and line in ways
 
     def invalidate(self, address: int) -> bool:
         """Drop a line if present (coherence invalidation); True if it was."""
-        line = self.line_of(address)
-        index = self._set_index(line)
-        ways = self._sets.get(index)
+        line = address >> self._offset_bits
+        ways = self._sets.get(line & self._set_mask)
         if ways is not None and line in ways:
             ways.remove(line)
             return True

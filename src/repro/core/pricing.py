@@ -48,6 +48,7 @@ if TYPE_CHECKING:
 
 REQUEST = MessageClass.REQUEST
 DATA = MessageClass.DATA
+WRITE = AccessType.WRITE
 
 
 class Medium(Protocol):
@@ -198,7 +199,7 @@ class TransactionPricer:
         cfg = self.cfg
         leg = self.medium.leg
         bank_node = outcome.bank_node
-        if outcome.access_type == AccessType.WRITE:
+        if outcome.access_type is WRITE:
             return (leg(cpu_node, bank_node, cfg.data_flits, cycle, DATA)
                     + cfg.bank_latency)
         return (
