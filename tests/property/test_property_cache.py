@@ -8,6 +8,7 @@ from repro.cache.nuca import NucaL2, AccessType
 from repro.cache.migration import MigrationConfig
 from repro.cache.addressing import AddressMap
 from repro.cache.replacement import TreePLRU
+from repro.coherence.l1cache import L1Cache, L1Config
 
 
 def fresh_nuca(threshold=1):
@@ -112,3 +113,83 @@ def test_plru_victim_never_most_recent(touches):
     for way in touches:
         tree.touch(way)
     assert tree.victim() != touches[-1]
+
+
+class TrueLRU:
+    """Reference L1: each resident line keeps the tick of its last use,
+    and a fill into a full set evicts the line with the oldest tick."""
+
+    def __init__(self, num_sets: int, ways: int, line_bytes: int):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.sets = [dict() for __ in range(num_sets)]  # line -> tick
+        self.tick = 0
+        self.hits = 0
+        self.misses = 0
+
+    def _set(self, address):
+        line = address // self.line_bytes
+        return line, self.sets[line % self.num_sets]
+
+    def lookup(self, address):
+        self.tick += 1
+        line, lines = self._set(address)
+        if line in lines:
+            lines[line] = self.tick
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def fill(self, address):
+        self.tick += 1
+        line, lines = self._set(address)
+        evicted = None
+        if line not in lines and len(lines) == self.ways:
+            evicted = min(lines, key=lines.get)
+            del lines[evicted]
+        lines[line] = self.tick
+        return evicted
+
+    def invalidate(self, address):
+        line, lines = self._set(address)
+        return lines.pop(line, None) is not None
+
+    def contains(self, address):
+        line, lines = self._set(address)
+        return line in lines
+
+
+# 1 KB of 256 B lines, 2-way: 2 sets x 2 ways.  Six distinct lines (at
+# any offset within them) put three on each set, so a wrong LRU order
+# soon evicts the wrong line.
+L1_SMALL = L1Config(size_kb=1, ways=2, line_bytes=256)
+L1_LINES = 6
+l1_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["lookup", "fill", "lookup", "fill", "invalidate"]),
+        st.builds(
+            lambda line, offset: line * 256 + offset,
+            st.integers(0, L1_LINES - 1), st.integers(0, 255),
+        ),
+    ),
+    min_size=30,
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=l1_ops)
+def test_l1_matches_true_lru(ops):
+    """L1Cache is true LRU: every return value, eviction, hit/miss count
+    and residency equals the reference model's, whether or not the probed
+    line is already most recently used."""
+    assert L1_SMALL.num_sets == 2
+    cache = L1Cache(0, L1_SMALL)
+    model = TrueLRU(L1_SMALL.num_sets, L1_SMALL.ways, L1_SMALL.line_bytes)
+    for name, address in ops:
+        assert getattr(cache, name)(address) == getattr(model, name)(address)
+        assert (cache.hits, cache.misses) == (model.hits, model.misses)
+        for probe in range(0, L1_LINES * 256, 256):
+            assert cache.contains(probe) == model.contains(probe)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
+from repro.core.schemes import Scheme, make_chip_config
 from repro.cache.nuca import NucaL2, AccessType
-from repro.cache.migration import MigrationConfig
+from repro.cache.migration import MigrationConfig, MigrationPolicy
 from repro.cache.search import SearchPolicy
 
 
@@ -265,3 +266,55 @@ class TestMigrationPolicyTargets:
             if target is None:
                 continue
             assert topo2d.clusters[target].tile_y == cluster.tile_y
+
+
+# (scheme, chip overrides, bankset chains): the 2D and 3D policies, the
+# 4-layer / 2-pillar stack, and CMP-DNUCA's bankset-chain migration.
+MEMO_POLICIES = {
+    "2d": (Scheme.CMP_DNUCA_2D, {}, False),
+    "3d-2l-8p": (Scheme.CMP_DNUCA_3D, {}, False),
+    "3d-4l-2p": (Scheme.CMP_DNUCA_3D, {"num_layers": 4, "num_pillars": 2}, False),
+    "bankset-chains": (Scheme.CMP_DNUCA, {}, True),
+}
+
+
+class TestMigrationMemos:
+    """The memoized answers equal those a freshly built policy computes."""
+
+    @pytest.fixture(params=sorted(MEMO_POLICIES))
+    def built(self, request):
+        scheme, chip, chains = MEMO_POLICIES[request.param]
+        setup = make_chip_config(scheme, **chip)
+        topology = build_topology(setup.chip, setup.placement)
+        config = MigrationConfig(bankset_chains=chains)
+        return topology, lambda: MigrationPolicy(topology, config)
+
+    def test_target_cluster_memo(self, built):
+        topology, fresh_policy = built
+        policy = fresh_policy()
+        keys = [
+            (cluster.index, cpu)
+            for cluster in topology.clusters
+            for cpu in range(topology.config.num_cpus)
+        ]
+        # The first pass fills the memo, the second reads it back.
+        for __ in range(2):
+            for key in keys:
+                assert policy.target_cluster(*key) == (
+                    fresh_policy().target_cluster(*key)
+                ), key
+        assert any(policy.target_cluster(*key) is not None for key in keys)
+
+    def test_transfer_latency_memo(self, built):
+        topology, fresh_policy = built
+        policy = fresh_policy()
+        keys = [
+            (src.index, dst.index)
+            for src in topology.clusters
+            for dst in topology.clusters
+        ]
+        for __ in range(2):
+            for key in keys:
+                assert policy.transfer_latency(*key) == (
+                    fresh_policy().transfer_latency(*key)
+                ), key
