@@ -368,12 +368,10 @@ class NetworkInMemory:
         charge_invalidations = self.pricer.charge_invalidations
         invalidations = self._invalidations
         cpu_positions = self.topology.cpu_positions
-        op_to_type = _OP_TO_TYPE
-        heappop = heapq.heappop
         heappushpop = heapq.heappushpop
         processed = 0
         warm = False
-        __, cpu = heappop(heap)
+        __, cpu = heapq.heappop(heap)
         while True:
             if max_events is not None and processed >= max_events:
                 break
@@ -385,10 +383,10 @@ class NetworkInMemory:
                 # This CPU's trace is exhausted: drop it from the heap.
                 if not heap:
                     break
-                __, cpu = heappop(heap)
+                __, cpu = heapq.heappop(heap)
                 continue
             gap, op, address = event
-            access_type = op_to_type[op]
+            access_type = _OP_TO_TYPE[op]
             core = cores[cpu]
             core.retire_gap(gap)
             coherence = l1_access(cpu, address, access_type, core.clock)
