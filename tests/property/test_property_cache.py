@@ -162,8 +162,8 @@ class TrueLRU:
 
 
 # 1 KB of 256 B lines, 2-way: 2 sets x 2 ways.  Six distinct lines (at
-# any offset within them) put three on each set, so a wrong LRU order
-# soon evicts the wrong line.
+# any offset within them) put three on each set, and lookups and fills
+# outweigh invalidations, so a wrong LRU order soon evicts the wrong line.
 L1_SMALL = L1Config(size_kb=1, ways=2, line_bytes=256)
 L1_LINES = 6
 l1_ops = st.lists(
