@@ -18,15 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.cache.nuca import AccessType
+from repro.cache.nuca import IFETCH, WRITE, AccessType
 from repro.coherence.l1cache import L1Cache, L1Config
 from repro.coherence.directory import Directory
 from repro.sim.trace import NULL_TRACER, Tracer
-
-# Module aliases: ``is`` against these is ~10x cheaper per reference
-# than reading the member off the enum class.
-_WRITE = AccessType.WRITE
-_IFETCH = AccessType.IFETCH
 
 
 @dataclass(slots=True)
@@ -88,12 +83,12 @@ class CoherentL1System:
         ``cycle`` only timestamps trace events; callers advancing
         simulated time should pass their clock.
         """
-        if access_type is _IFETCH:
+        if access_type is IFETCH:
             cache = self.icaches[cpu_id]
         else:
             cache = self.dcaches[cpu_id]
 
-        if access_type is _WRITE:
+        if access_type is WRITE:
             line = cache.line_of(address)
             hit = cache.lookup(address)
             buffer = self._write_buffers[cpu_id]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from repro.cache.nuca import AccessOutcome, AccessType
+from repro.cache.nuca import WRITE, AccessOutcome
 from repro.core.latency_model import LatencyModel
 from repro.noc.packet import MessageClass
 from repro.noc.routing import Coord
@@ -48,7 +48,6 @@ if TYPE_CHECKING:
 
 REQUEST = MessageClass.REQUEST
 DATA = MessageClass.DATA
-WRITE = AccessType.WRITE
 
 
 class Medium(Protocol):

@@ -28,7 +28,7 @@ from repro.core.placement import PlacementPolicy, build_topology
 from repro.core.schemes import Scheme, SchemeSetup, make_chip_config
 from repro.core.latency_model import LatencyModel, LatencyModelConfig
 from repro.core.pricing import ModelMedium, TransactionPricer
-from repro.cache.nuca import NucaL2, AccessType
+from repro.cache.nuca import IFETCH, READ, WRITE, AccessType, NucaL2
 from repro.cache.migration import MigrationConfig
 from repro.coherence.protocol import CoherentL1System
 from repro.coherence.l1cache import L1Config
@@ -39,16 +39,7 @@ if TYPE_CHECKING:
     from repro.faults.injector import FaultHarness
     from repro.faults.spec import FaultSpec
 
-# Module aliases: reading a member off the enum class costs ~100 ns a
-# time on the per-reference path; ``is`` against an alias costs ~10 ns.
-_READ = AccessType.READ
-_WRITE = AccessType.WRITE
-
-_OP_TO_TYPE = {
-    OP_READ: _READ,
-    OP_WRITE: _WRITE,
-    OP_IFETCH: AccessType.IFETCH,
-}
+_OP_TO_TYPE = {OP_READ: READ, OP_WRITE: WRITE, OP_IFETCH: IFETCH}
 
 
 @dataclass
@@ -310,7 +301,7 @@ class NetworkInMemory:
         # demand reads and fetches.  Buffered write-throughs are priced for
         # traffic but not mixed into the latency figure.
         if outcome.hit:
-            if access_type is not _WRITE:
+            if access_type is not WRITE:
                 self.hit_latency.add(latency)
         else:
             self.miss_latency.add(latency)
@@ -321,9 +312,9 @@ class NetworkInMemory:
                     targets,
                     cycle,
                 )
-        if access_type is _READ:
+        if access_type is READ:
             self._l2_reads.increment()
-        elif access_type is _WRITE:
+        elif access_type is WRITE:
             self._l2_writes.increment()
         else:
             self._l2_ifetches.increment()
