@@ -27,9 +27,9 @@ from typing import Optional
 from repro.core.chip import ChipTopology, Cluster
 
 
-@dataclass
+@dataclass(frozen=True)
 class MigrationConfig:
-    """Migration tunables."""
+    """Migration tunables; frozen, since the policy memoizes on them."""
 
     enabled: bool = True
     trigger_threshold: int = 2     # accesses by same CPU before a move
@@ -48,10 +48,11 @@ class MigrationPolicy:
     def __init__(self, topology: ChipTopology, config: Optional[MigrationConfig] = None):
         self.topology = topology
         self.config = config or MigrationConfig()
-        # Both answers depend only on the placed topology, so each is
-        # computed once, on first use.  Keyed on the static topology: if
-        # migration ever reads fault state, a FaultState listener must
-        # clear them, as LatencyModel does for its path memo.
+        # Both answers depend only on the placed topology and the
+        # (frozen) config, neither of which changes after construction,
+        # so each is computed once, on first use.  If migration ever
+        # reads fault state, a FaultState listener must clear them, as
+        # LatencyModel does for its path memo.
         self._targets: dict[tuple[int, int], Optional[int]] = {}
         self._transfers: dict[tuple[int, int], float] = {}
 

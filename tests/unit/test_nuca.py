@@ -1,5 +1,7 @@
 """Unit tests for the NUCA L2: search, placement, migration, eviction."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.chip import ChipConfig
@@ -318,3 +320,11 @@ class TestMigrationMemos:
                 assert policy.transfer_latency(*key) == (
                     fresh_policy().transfer_latency(*key)
                 ), key
+
+    def test_config_cannot_change_under_the_memos(self, built):
+        __, fresh_policy = built
+        policy = fresh_policy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.config.bankset_chains = not policy.config.bankset_chains
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.config.transfer_flits += 1
