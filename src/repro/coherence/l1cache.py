@@ -53,10 +53,6 @@ class L1Cache:
         """Probe (and LRU-update on hit) for ``address``."""
         line = address >> self._offset_bits
         ways = self._sets.get(line & self._set_mask)
-        if ways and ways[0] == line:
-            # Most hits are to the MRU way, whose order is already right.
-            self.hits += 1
-            return True
         if ways is not None and line in ways:
             ways.remove(line)
             ways.insert(0, line)
