@@ -1,17 +1,18 @@
 """In-order single-issue core: the timing skeleton of one CPU.
 
-The core consumes a memory-reference trace.  Between references it retires
-``gap`` ordinary instructions at the base CPI; a reference that hits the
-L1 costs one (pipelined) cycle; a read or ifetch that misses stalls the
-core for the full L2 transaction latency; stores retire into the write
-buffer without stalling (their L2 traffic is still generated).
+The core holds one CPU's clock and instruction accounting.  Between
+references it retires ``gap`` ordinary instructions at the base CPI; a
+reference that hits the L1 costs one (pipelined) cycle; a read or ifetch
+that misses stalls the core for the full L2 transaction latency; stores
+retire into the write buffer without stalling (their L2 traffic is still
+generated).  That retire rule has one home, the per-CPU loop of
+:meth:`repro.core.system.NetworkInMemory.run_trace`, which keeps these
+fields in locals while a CPU runs and writes them back here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.cpu.trace import OP_WRITE
+from dataclasses import dataclass
 
 
 @dataclass
@@ -32,23 +33,6 @@ class InOrderCore:
         self.instructions = 0.0
         self.memory_stall_cycles = 0.0
         self.l2_accesses = 0
-
-    def retire_gap(self, gap: int) -> None:
-        """Execute ``gap`` non-memory instructions."""
-        self.clock += gap * self.cpi_base
-        self.instructions += gap
-
-    def retire_reference(self, op: int, stall_cycles: float) -> None:
-        """Execute one memory instruction with the given L2 stall.
-
-        Stores never stall (buffered write-through); reads and fetches
-        stall for the full transaction latency when ``stall_cycles`` > 0.
-        """
-        self.clock += self.cpi_base
-        self.instructions += 1
-        if op != OP_WRITE and stall_cycles > 0:
-            self.clock += stall_cycles
-            self.memory_stall_cycles += stall_cycles
 
     @property
     def measured_cycles(self) -> float:

@@ -1,0 +1,169 @@
+"""The per-CPU run loop against the one-heap-operation-per-reference loop.
+
+`reference_run_trace` is the driver loop as it was before
+`NetworkInMemory.run_trace` ran each CPU in an inner loop: one
+``heappushpop`` per reference, and the retire arithmetic of the former
+``InOrderCore.retire_gap``/``retire_reference`` (kept here as
+`retire_gap` and `retire_reference`).  Run on twin systems, the two loops
+must leave every reported statistic and every core's accounting equal.
+"""
+
+import heapq
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.schemes import Scheme
+from repro.core.system import _OP_TO_TYPE, NetworkInMemory, SystemConfig
+from repro.cpu.core import InOrderCore
+from repro.cpu.trace import OP_IFETCH, OP_READ, OP_WRITE
+
+NUM_CPUS = 8
+
+
+def retire_gap(core: InOrderCore, gap: int) -> None:
+    """Execute ``gap`` non-memory instructions."""
+    core.clock += gap * core.cpi_base
+    core.instructions += gap
+
+
+def retire_reference(core: InOrderCore, op: int, stall_cycles: float) -> None:
+    """Execute one memory instruction with the given L2 stall.
+
+    Stores never stall (buffered write-through); reads and fetches stall
+    for the full transaction latency when ``stall_cycles`` > 0.
+    """
+    core.clock += core.cpi_base
+    core.instructions += 1
+    if op != OP_WRITE and stall_cycles > 0:
+        core.clock += stall_cycles
+        core.memory_stall_cycles += stall_cycles
+
+
+def reference_run_trace(system: NetworkInMemory, traces, warmup_events=0):
+    """One ``heappushpop`` per reference over ``(clock, cpu)`` keys."""
+    iterators = [iter(t) for t in traces]
+    heap = [(0.0, cpu) for cpu in range(len(system.cores))]
+    heapq.heapify(heap)
+    processed = 0
+    warm = False
+    __, cpu = heapq.heappop(heap)
+    while True:
+        if not warm and processed >= warmup_events:
+            system._end_warmup()
+            warm = True
+        event = next(iterators[cpu], None)
+        if event is None:
+            if not heap:
+                break
+            __, cpu = heapq.heappop(heap)
+            continue
+        gap, op, address = event
+        access_type = _OP_TO_TYPE[op]
+        core = system.cores[cpu]
+        retire_gap(core, gap)
+        coherence = system.l1s.access(cpu, address, access_type, core.clock)
+        stall = 0.0
+        targets = coherence.invalidate_cpus
+        if targets:
+            system._invalidations.increment(len(targets))
+            system.pricer.charge_invalidations(
+                system.topology.cpu_positions[cpu], targets, core.clock
+            )
+        if coherence.needs_l2:
+            result = system.l2_transaction(
+                cpu, address, access_type, core.clock
+            )
+            core.l2_accesses += 1
+            if op != OP_WRITE:
+                stall = result.latency
+        retire_reference(core, op, stall)
+        __, cpu = heapq.heappushpop(heap, (core.clock, cpu))
+        processed += 1
+    return system.collect_stats()
+
+
+def core_state(system: NetworkInMemory) -> list[tuple]:
+    return [
+        (
+            core.clock, core.instructions, core.memory_stall_cycles,
+            core.l2_accesses, core.clock_at_reset,
+        )
+        for core in system.cores
+    ]
+
+
+def assert_loops_agree(scheme: Scheme, traces, warmup_events: int) -> None:
+    new = NetworkInMemory(SystemConfig(scheme=scheme))
+    old = NetworkInMemory(SystemConfig(scheme=scheme))
+    got = new.run_trace(traces, warmup_events=warmup_events)
+    want = reference_run_trace(old, traces, warmup_events)
+    assert got.to_dict() == want.to_dict()
+    assert core_state(new) == core_state(old)
+
+
+# Lines 1 MB apart share a cluster set and an L1 set, so a few dozen of
+# them force L1 and L2 evictions, back-invalidations and, on CMP-DNUCA,
+# swaps; the wide range reaches every home cluster.
+conflicting = st.builds(
+    lambda line, tag: line * 64 + tag * (1 << 20),
+    st.integers(0, 3), st.integers(0, 40),
+)
+addresses = st.one_of(conflicting, st.integers(0, 1 << 24))
+events = st.tuples(
+    st.integers(0, 12),
+    st.sampled_from([OP_READ, OP_READ, OP_WRITE, OP_IFETCH]),
+    addresses,
+)
+# Unequal lengths, empty traces included.
+traces = st.lists(
+    st.lists(events, max_size=40), min_size=NUM_CPUS, max_size=NUM_CPUS
+)
+# Stores never stall, so zero-gap write-only traces keep the clocks of
+# all CPUs tied and the CPU id decides every turn.
+tied_traces = st.lists(
+    st.lists(
+        st.tuples(st.just(0), st.just(OP_WRITE), addresses), max_size=30
+    ),
+    min_size=NUM_CPUS, max_size=NUM_CPUS,
+)
+schemes = st.sampled_from([Scheme.CMP_DNUCA, Scheme.CMP_DNUCA_3D])
+
+
+def warmup_for(data, total: int) -> int:
+    """Warm-up at 0, mid-trace, exactly the total, or past the end."""
+    where = data.draw(st.sampled_from(["zero", "mid", "total", "past"]))
+    if where == "zero":
+        return 0
+    if where == "mid":
+        return data.draw(st.integers(1, max(1, total - 1)))
+    if where == "total":
+        return total
+    return total + data.draw(st.integers(1, 50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=schemes, per_cpu=traces, data=st.data())
+def test_run_loop_matches_reference(scheme, per_cpu, data):
+    total = sum(len(trace) for trace in per_cpu)
+    assert_loops_agree(scheme, per_cpu, warmup_for(data, total))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=schemes, per_cpu=tied_traces, data=st.data())
+def test_tied_clocks_go_to_the_lower_cpu(scheme, per_cpu, data):
+    total = sum(len(trace) for trace in per_cpu)
+    assert_loops_agree(scheme, per_cpu, warmup_for(data, total))
+
+
+def test_warmup_at_total_resets_every_stat():
+    """Warm-up ending on the last reference leaves nothing measured."""
+    per_cpu = [
+        [(3, OP_READ, 0x40 * (cpu + 1)), (1, OP_WRITE, 0x2000)]
+        for cpu in range(NUM_CPUS)
+    ]
+    total = 2 * NUM_CPUS
+    assert_loops_agree(Scheme.CMP_DNUCA_3D, per_cpu, total)
+    system = NetworkInMemory(SystemConfig(scheme=Scheme.CMP_DNUCA_3D))
+    stats = system.run_trace(per_cpu, warmup_events=total)
+    assert stats.instructions == 0 and stats.l2_accesses == 0
+    assert all(core.clock > 0 for core in system.cores)

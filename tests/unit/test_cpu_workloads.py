@@ -12,44 +12,52 @@ from repro.cpu.trace import (
 )
 from repro.workloads.benchmarks import BENCHMARKS, BENCHMARK_NAMES, get_benchmark
 from repro.workloads.generator import SyntheticWorkload
+from tests.property.test_property_run_trace import (
+    retire_gap,
+    retire_reference,
+)
 
 
 class TestInOrderCore:
+    """The core's accounting under the reference retire rule, which
+    ``tests/property/test_property_run_trace.py`` holds
+    ``NetworkInMemory.run_trace`` to."""
+
     def test_gap_retirement(self):
         core = InOrderCore(0)
-        core.retire_gap(10)
+        retire_gap(core, 10)
         assert core.clock == 10 and core.instructions == 10
 
     def test_read_stalls(self):
         core = InOrderCore(0)
-        core.retire_reference(OP_READ, stall_cycles=50)
+        retire_reference(core, OP_READ, stall_cycles=50)
         assert core.clock == 51
         assert core.memory_stall_cycles == 50
 
     def test_write_never_stalls(self):
         core = InOrderCore(0)
-        core.retire_reference(OP_WRITE, stall_cycles=50)
+        retire_reference(core, OP_WRITE, stall_cycles=50)
         assert core.clock == 1
         assert core.memory_stall_cycles == 0
 
     def test_ipc(self):
         core = InOrderCore(0)
-        core.retire_gap(9)
-        core.retire_reference(OP_READ, stall_cycles=10)
+        retire_gap(core, 9)
+        retire_reference(core, OP_READ, stall_cycles=10)
         assert core.ipc == pytest.approx(10 / 20)
 
     def test_reset_stats_keeps_clock(self):
         core = InOrderCore(0)
-        core.retire_gap(100)
+        retire_gap(core, 100)
         core.reset_stats()
         assert core.clock == 100
         assert core.instructions == 0
-        core.retire_gap(50)
+        retire_gap(core, 50)
         assert core.ipc == pytest.approx(1.0)
 
     def test_cpi_base_scaling(self):
         core = InOrderCore(0, cpi_base=2.0)
-        core.retire_gap(5)
+        retire_gap(core, 5)
         assert core.clock == 10
 
 

@@ -114,12 +114,6 @@ class TestNetworkInMemory:
         # Half the events are warm-up: measured instruction count halves.
         assert stats.instructions == pytest.approx(80, abs=8)
 
-    def test_max_events_caps_run(self, system):
-        traces = [[(1, OP_READ, 0x40 * i)] * 100 for i in range(8)]
-        system.run_trace(traces, max_events=16)
-        total = sum(core.instructions for core in system.cores)
-        assert total <= 2 * 16
-
     def test_memory_node_on_chip(self, system):
         width, height = system.setup.chip.mesh_dims
         assert 0 <= system.memory_node.x < width
