@@ -15,8 +15,7 @@ invalidations.  Consistent with the write-through L1s, the protocol is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.cache.nuca import IFETCH, WRITE, AccessType
 from repro.coherence.l1cache import L1Cache, L1Config
@@ -24,22 +23,26 @@ from repro.coherence.directory import Directory
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
-@dataclass(slots=True)
-class CoherenceEvent:
+class CoherenceEvent(NamedTuple):
     """Consequences of one CPU memory reference.
 
-    One is built per reference, positionally.  Reads and coalesced
-    writes share the immutable ``()`` default for ``invalidate_cpus``
-    instead of each allocating an empty list.
+    Immutable, so every reference without invalidations shares one of the
+    module constants below; only a write-through builds a new event, to
+    carry the directory's list of CPUs to invalidate.
     """
 
-    cpu_id: int
-    address: int
-    access_type: AccessType
     l1_hit: bool
     needs_l2: bool
     invalidate_cpus: Sequence[int] = ()
-    l1_evicted_line: Optional[int] = None
+
+
+#: A read or fetch that hits the L1, or a store that coalesces into the
+#: write buffer over an L1 hit.
+L1_HIT = CoherenceEvent(True, False)
+#: A store that coalesces into the write buffer over an L1 miss.
+COALESCED_MISS = CoherenceEvent(False, False)
+#: A read or fetch that misses the L1.
+L1_MISS = CoherenceEvent(False, True)
 
 
 class CoherentL1System:
@@ -98,7 +101,7 @@ class CoherentL1System:
                 buffer.remove(line)
                 buffer.insert(0, line)
                 self.coalesced_writes += 1
-                return CoherenceEvent(cpu_id, address, access_type, hit, False)
+                return L1_HIT if hit else COALESCED_MISS
             buffer.insert(0, line)
             if len(buffer) > self._write_buffer_entries:
                 buffer.pop()
@@ -118,27 +121,22 @@ class CoherentL1System:
                 target_buffer = self._write_buffers[target]
                 if line in target_buffer:
                     target_buffer.remove(line)
-            evicted = None
             if not hit and self.config.write_allocate:
                 evicted = cache.fill(address)
                 self.directory.add_sharer(line, cpu_id)
                 if evicted is not None:
                     self.directory.drop_sharer(evicted, cpu_id)
             # Write-through: the L2 sees every store.
-            return CoherenceEvent(
-                cpu_id, address, access_type, hit, True, invalidated, evicted
-            )
+            return CoherenceEvent(hit, True, invalidated)
 
         # READ / IFETCH: a hit needs nothing beyond the L1 probe.
         if cache.lookup(address):
-            return CoherenceEvent(cpu_id, address, access_type, True, False)
+            return L1_HIT
         evicted = cache.fill(address)
         self.directory.add_sharer(cache.line_of(address), cpu_id)
         if evicted is not None:
             self.directory.drop_sharer(evicted, cpu_id)
-        return CoherenceEvent(
-            cpu_id, address, access_type, False, True, (), evicted
-        )
+        return L1_MISS
 
     def l2_eviction(self, line_address: int, cycle: float = 0.0) -> list[int]:
         """Back-invalidate L1 copies when the L2 evicts a line (inclusion)."""
