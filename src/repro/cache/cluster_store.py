@@ -58,8 +58,12 @@ class ClusterStore:
         return None
 
     def touch(self, index: int, way: int) -> None:
-        """Update pseudo-LRU state for an access to ``way``."""
-        self._tree(index).touch(way)
+        """Update pseudo-LRU state for an access to resident ``way``.
+
+        A resident line got there through :meth:`insert`, which built the
+        set's tree, so the tree is read directly.
+        """
+        self._plru[index].touch(way)
 
     # -- data array operations ---------------------------------------------------
 

@@ -90,6 +90,10 @@ class NucaL2:
             )
             for cluster in topology.clusters
         ]
+        # Read per transaction: each cluster's tag array node, by index.
+        self._tag_nodes = tuple(
+            cluster.tag_node for cluster in topology.clusters
+        )
         # Ground truth: line address -> cluster index currently holding it.
         self._location: dict[int, int] = {}
         # Bank-fault state (None when no faults are injected).
@@ -132,7 +136,7 @@ class NucaL2:
         return nodes[bank]
 
     def tag_node(self, cluster_index: int) -> Coord:
-        return self.topology.clusters[cluster_index].tag_node
+        return self._tag_nodes[cluster_index]
 
     # -- main access path ------------------------------------------------------------
 
@@ -177,7 +181,10 @@ class NucaL2:
         way, entry = found
 
         # Settle a completed lazy migration before anything else.
-        if entry.in_transit and cycle >= entry.in_transit_until:
+        if (
+            entry.pending_cluster is not None
+            and cycle >= entry.in_transit_until
+        ):
             cluster_index = self._complete_migration(
                 entry, decoded, cluster_index
             )
@@ -197,7 +204,7 @@ class NucaL2:
             entry.dirty = True
 
         plan = self.search.plan(cpu_id)
-        step = plan.step_of(cluster_index)
+        step = plan.steps[cluster_index]
         tracer = self.tracer
         if tracer.enabled:
             tracer.cache_search(
@@ -217,7 +224,7 @@ class NucaL2:
             self._hits_step2.increment()
 
         migration: Optional[tuple[int, int]] = None
-        if not entry.in_transit and self.migration.should_migrate(
+        if entry.pending_cluster is None and self.migration.should_migrate(
             entry.migration_credit
         ):
             target = self.migration.target_cluster(cluster_index, cpu_id)
@@ -238,16 +245,10 @@ class NucaL2:
                     )
 
         return AccessOutcome(
-            address=decoded.address,
-            cpu_id=cpu_id,
-            hit=True,
-            cluster=cluster_index,
-            bank_node=self.bank_node(cluster_index, decoded),
-            tag_node=self.tag_node(cluster_index),
-            search_step=step,
-            decoded=decoded,
-            access_type=access_type,
-            migration=migration,
+            decoded.address, cpu_id, True, cluster_index,
+            self.bank_node(cluster_index, decoded),
+            self._tag_nodes[cluster_index], step, decoded, access_type,
+            migration,
         )
 
     def _miss(
@@ -292,17 +293,9 @@ class NucaL2:
                 self._evictions.increment()
         self._location[decoded.line_address] = home
         return AccessOutcome(
-            address=decoded.address,
-            cpu_id=cpu_id,
-            hit=False,
-            cluster=home,
-            bank_node=self.bank_node(home, decoded),
-            tag_node=self.tag_node(home),
-            search_step=2,
-            decoded=decoded,
-            access_type=access_type,
-            evicted_line=evicted_line,
-            evicted_dirty=evicted_dirty,
+            decoded.address, cpu_id, False, home,
+            self.bank_node(home, decoded), self._tag_nodes[home], 2,
+            decoded, access_type, None, None, evicted_line, evicted_dirty,
         )
 
     # -- migration mechanics ----------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.chip import ChipTopology, Cluster
+from repro.core.chip import ChipTopology
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -26,10 +26,7 @@ class SearchPlan:
     local_cluster: int
     step1: tuple[int, ...]   # local + neighbours (probed in parallel)
     step2: tuple[int, ...]   # everything else (multicast)
-
-    def step_of(self, cluster_index: int) -> int:
-        """1 if the cluster is probed in step 1, else 2."""
-        return 1 if cluster_index in self.step1 else 2
+    steps: tuple[int, ...]   # by cluster index: the step that probes it
 
 
 class SearchPolicy:
@@ -64,6 +61,10 @@ class SearchPolicy:
             local_cluster=local.index,
             step1=tuple(step1),
             step2=step2,
+            steps=tuple(
+                1 if cluster.index in step1_set else 2
+                for cluster in topo.clusters
+            ),
         )
         self._plans[cpu_id] = plan
         tracer = self._tracer

@@ -115,6 +115,51 @@ def test_plru_victim_never_most_recent(touches):
     assert tree.victim() != touches[-1]
 
 
+class BitWalkPLRU:
+    """Reference tree pseudo-LRU: a touch walks the tree from the root,
+    pointing each node on the path away from the touched way."""
+
+    def __init__(self, ways: int):
+        self.levels = ways.bit_length() - 1
+        self.bits = 0
+
+    def touch(self, way):
+        node = 1
+        for level in range(self.levels - 1, -1, -1):
+            bit = (way >> level) & 1
+            if bit:
+                self.bits &= ~(1 << node)
+            else:
+                self.bits |= 1 << node
+            node = (node << 1) | bit
+
+    def victim(self):
+        node = 1
+        way = 0
+        for __ in range(self.levels):
+            bit = (self.bits >> node) & 1
+            way = (way << 1) | bit
+            node = (node << 1) | bit
+        return way
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ways=st.sampled_from([2, 4, 8, 16]))
+def test_plru_masks_match_bit_walk(data, ways):
+    """The table-driven touch leaves the same bits, and so the same
+    victim, as walking the tree, after every touch."""
+    touches = data.draw(
+        st.lists(st.integers(0, ways - 1), min_size=1, max_size=80)
+    )
+    tree = TreePLRU(ways)
+    model = BitWalkPLRU(ways)
+    for way in touches:
+        tree.touch(way)
+        model.touch(way)
+        assert tree.bits == model.bits
+        assert tree.victim() == model.victim()
+
+
 class TrueLRU:
     """Reference L1: each resident line keeps the tick of its last use,
     and a fill into a full set evicts the line with the oldest tick."""
