@@ -151,6 +151,18 @@ class TestCoherentL1System:
         assert system.icaches[0].contains(0x6000)
         assert not system.dcaches[0].contains(0x6000)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: l2_eviction leaves the line in every write "
+        "buffer, so the next store to it coalesces and never reaches the L2",
+    )
+    def test_store_after_l2_eviction_reaches_l2(self):
+        system = CoherentL1System(4)
+        system.access(0, 0x8000, AccessType.WRITE)
+        system.l2_eviction(system.dcaches[0].line_of(0x8000))
+        event = system.access(0, 0x8000, AccessType.WRITE)
+        assert event.needs_l2
+
     def test_l2_eviction_back_invalidates(self):
         system = CoherentL1System(4)
         system.access(0, 0x7000, AccessType.READ)
