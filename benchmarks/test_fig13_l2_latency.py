@@ -1,19 +1,20 @@
 """Bench: regenerate Figure 13 (average L2 hit latency per scheme).
 
 Uses a representative benchmark subset (one low-L1-miss, two high) at the
-quick scale; run the module ``python -m repro.experiments.fig13`` with
+quick scale; run ``python -m repro experiments fig13`` with
 ``REPRO_SCALE=full`` for the complete nine-benchmark figure.
 """
 
 from repro.core.schemes import Scheme
 from repro.experiments import fig13
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 SUBSET = ("art", "mgrid", "swim")
 
 
 def test_fig13_l2_hit_latency(once):
-    results = once(fig13.run, benchmarks=SUBSET, scale=QUICK)
+    results = once(table, "fig13", benchmarks=SUBSET, scale=QUICK)
     mean = fig13.averages(results)
 
     # Headline orderings of Section 5.2 (averaged over the subset):

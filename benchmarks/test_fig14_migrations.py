@@ -1,14 +1,14 @@
 """Bench: regenerate Figure 14 (migration counts vs CMP-DNUCA-2D)."""
 
 from repro.core.schemes import Scheme
-from repro.experiments import fig14
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 SUBSET = ("art", "mgrid", "swim")
 
 
 def test_fig14_migrations(once):
-    results = once(fig14.run, benchmarks=SUBSET, scale=QUICK)
+    results = once(table, "fig14", benchmarks=SUBSET, scale=QUICK)
     for benchmark, row in results.items():
         # The 3D scheme exercises migration less frequently than the 2D
         # scheme (the vicinity cylinder already covers the data).

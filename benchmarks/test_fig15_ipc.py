@@ -3,12 +3,13 @@
 from repro.core.schemes import Scheme
 from repro.experiments import fig15
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 SUBSET = ("art", "mgrid", "swim")
 
 
 def test_fig15_ipc(once):
-    results = once(fig15.run, benchmarks=SUBSET, scale=QUICK)
+    results = once(table, "fig15", benchmarks=SUBSET, scale=QUICK)
     gains = fig15.improvements(results)
 
     for benchmark in SUBSET:

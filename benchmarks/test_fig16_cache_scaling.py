@@ -3,12 +3,13 @@
 from repro.core.schemes import Scheme
 from repro.experiments import fig16
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 SUBSET = ("galgel", "swim")
 
 
 def test_fig16_cache_scaling(once):
-    results = once(fig16.run, benchmarks=SUBSET, scale=QUICK)
+    results = once(table, "fig16", benchmarks=SUBSET, scale=QUICK)
 
     for benchmark, row in results.items():
         for scheme in (Scheme.CMP_DNUCA_2D, Scheme.CMP_DNUCA_3D):

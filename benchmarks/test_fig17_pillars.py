@@ -1,13 +1,13 @@
 """Bench: regenerate Figure 17 (L2 latency vs pillar count)."""
 
-from repro.experiments import fig17
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 SUBSET = ("art", "swim")
 
 
 def test_fig17_pillar_count(once):
-    results = once(fig17.run, benchmarks=SUBSET, scale=QUICK)
+    results = once(table, "fig17", benchmarks=SUBSET, scale=QUICK)
     for benchmark, row in results.items():
         # Fewer pillars -> more bus contention and longer detours.
         assert row[2] > row[8], benchmark

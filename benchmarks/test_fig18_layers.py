@@ -1,13 +1,13 @@
 """Bench: regenerate Figure 18 (L2 latency vs layer count)."""
 
-from repro.experiments import fig18
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 SUBSET = ("art", "swim")
 
 
 def test_fig18_layer_count(once):
-    results = once(fig18.run, benchmarks=SUBSET, scale=QUICK)
+    results = once(table, "fig18", benchmarks=SUBSET, scale=QUICK)
     for benchmark, row in results.items():
         # More layers shrink in-plane distances: latency drops.
         assert row[4] < row[2], benchmark

@@ -1,11 +1,11 @@
 """Bench: regenerate Table 5 (benchmark characterization)."""
 
-from repro.experiments import table5
 from repro.experiments.config import QUICK
+from repro.experiments.registry import table
 
 
 def test_table5_workloads(once):
-    results = once(table5.run, scale=QUICK)
+    results = once(table, "table5", scale=QUICK)
     assert set(results) == {
         "ammp", "apsi", "art", "equake", "fma3d",
         "galgel", "mgrid", "swim", "wupwise",

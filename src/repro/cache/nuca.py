@@ -45,19 +45,14 @@ IFETCH = AccessType.IFETCH
 class AccessOutcome:
     """Everything the timing layer needs to price one L2 access."""
 
-    address: int
-    cpu_id: int
     hit: bool
     cluster: int                       # where the line was found / placed
     bank_node: Coord                   # mesh node holding the data
     tag_node: Coord                    # tag array that matched (or home's)
     search_step: int                   # 1 or 2; misses always pay step 2
-    decoded: DecodedAddress
     access_type: AccessType = AccessType.READ
     migration: Optional[tuple[int, int]] = None   # (from, to) if started
-    swap: Optional[tuple[int, int]] = None        # reverse transfer of a swap
     evicted_line: Optional[int] = None            # line address written back
-    evicted_dirty: bool = False
 
 
 class NucaL2:
@@ -245,10 +240,8 @@ class NucaL2:
                     )
 
         return AccessOutcome(
-            decoded.address, cpu_id, True, cluster_index,
-            self.bank_node(cluster_index, decoded),
-            self._tag_nodes[cluster_index], step, decoded, access_type,
-            migration,
+            True, cluster_index, self.bank_node(cluster_index, decoded),
+            self._tag_nodes[cluster_index], step, access_type, migration,
         )
 
     def _miss(
@@ -279,7 +272,6 @@ class NucaL2:
             entry.dirty = True
         victim = store.insert(decoded.index, entry)
         evicted_line = None
-        evicted_dirty = False
         if victim is not None:
             if victim.is_replica:
                 # Dropping a replica loses no data; the primary remains.
@@ -288,14 +280,12 @@ class NucaL2:
                 evicted_line = self.addr_map.compose(
                     victim.tag, victim.index
                 ) >> self.addr_map.offset_bits
-                evicted_dirty = victim.dirty
                 self._location.pop(evicted_line, None)
                 self._evictions.increment()
         self._location[decoded.line_address] = home
         return AccessOutcome(
-            decoded.address, cpu_id, False, home,
-            self.bank_node(home, decoded), self._tag_nodes[home], 2,
-            decoded, access_type, None, None, evicted_line, evicted_dirty,
+            False, home, self.bank_node(home, decoded),
+            self._tag_nodes[home], 2, access_type, None, evicted_line,
         )
 
     # -- migration mechanics ----------------------------------------------------------

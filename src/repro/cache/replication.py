@@ -123,14 +123,11 @@ class ReplicatingNucaL2(NucaL2):
             self._hits_step1.increment()
             self._hits_local.increment()
             return AccessOutcome(
-                address=decoded.address,
-                cpu_id=cpu_id,
                 hit=True,
                 cluster=local,
                 bank_node=self.bank_node(local, decoded),
                 tag_node=self.tag_node(local),
                 search_step=1,
-                decoded=decoded,
                 access_type=access_type,
             )
 

@@ -35,14 +35,6 @@ class ExperimentScale:
         """
         return int(num_cpus * self.refs_per_cpu * self.warmup_fraction)
 
-    @property
-    def warmup_events(self) -> int:
-        """Deprecated: assumes the default 8-CPU topology.
-
-        Use :meth:`warmup_events_for` with the system's real CPU count.
-        """
-        return self.warmup_events_for(8)
-
     def to_dict(self) -> dict:
         """JSON-safe form (inverse of :meth:`from_dict`)."""
         return {

@@ -63,25 +63,3 @@ def render(results: Mapping[SimSpec, RunStats]) -> str:
         rows,
         title="Figure 13: average L2 hit latency (cycles)",
     )
-
-
-def run(
-    benchmarks: tuple[str, ...] = BENCHMARK_NAMES,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[str, dict[Scheme, float]]:
-    """Compatibility wrapper: simulate the grid and tabulate it."""
-    from repro.experiments.orchestrator import results_by_spec, run_sweep
-
-    specs = cells(benchmarks, scale=scale)
-    summary = run_sweep(specs)
-    return tabulate(results_by_spec(summary, specs))
-
-
-def main() -> None:
-    from repro.experiments.registry import main_for
-
-    main_for("fig13")
-
-
-if __name__ == "__main__":
-    main()

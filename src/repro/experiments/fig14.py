@@ -73,25 +73,3 @@ def render(results: Mapping[SimSpec, RunStats]) -> str:
             "(= 1.0)"
         ),
     )
-
-
-def run(
-    benchmarks: tuple[str, ...] = BENCHMARK_NAMES,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[str, dict[Scheme, float]]:
-    """Compatibility wrapper: simulate the grid and tabulate it."""
-    from repro.experiments.orchestrator import results_by_spec, run_sweep
-
-    specs = cells(benchmarks, scale=scale)
-    summary = run_sweep(specs)
-    return tabulate(results_by_spec(summary, specs))
-
-
-def main() -> None:
-    from repro.experiments.registry import main_for
-
-    main_for("fig14")
-
-
-if __name__ == "__main__":
-    main()

@@ -7,27 +7,17 @@ L2-intensive benchmarks mgrid, swim and wupwise.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.core.schemes import Scheme
 from repro.core.system import RunStats
-from repro.workloads.benchmarks import BENCHMARK_NAMES
-from repro.experiments.config import ExperimentScale
+from repro.experiments import fig13
 from repro.experiments.registry import SCHEME_ORDER
 from repro.experiments.runner import format_table
 from repro.experiments.spec import SimSpec
 
-
-def cells(
-    benchmarks: tuple[str, ...] = BENCHMARK_NAMES,
-    scale: Optional[ExperimentScale] = None,
-) -> list[SimSpec]:
-    """Same default-topology grid as Fig 13 (shared via the cache)."""
-    return [
-        SimSpec.make(scheme, benchmark, scale=scale)
-        for benchmark in benchmarks
-        for scheme in SCHEME_ORDER
-    ]
+#: The same default-topology grid as Fig 13 (shared via the cache).
+cells = fig13.cells
 
 
 def tabulate(
@@ -74,25 +64,3 @@ def render(results: Mapping[SimSpec, RunStats]) -> str:
         rows,
         title="Figure 15: IPC (gains relative to CMP-DNUCA-2D)",
     )
-
-
-def run(
-    benchmarks: tuple[str, ...] = BENCHMARK_NAMES,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[str, dict[Scheme, float]]:
-    """Compatibility wrapper: simulate the grid and tabulate it."""
-    from repro.experiments.orchestrator import results_by_spec, run_sweep
-
-    specs = cells(benchmarks, scale=scale)
-    summary = run_sweep(specs)
-    return tabulate(results_by_spec(summary, specs))
-
-
-def main() -> None:
-    from repro.experiments.registry import main_for
-
-    main_for("fig15")
-
-
-if __name__ == "__main__":
-    main()

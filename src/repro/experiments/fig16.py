@@ -87,26 +87,3 @@ def render(results: Mapping[SimSpec, RunStats]) -> str:
             f"{growth_per_doubling(table, scheme):.1f} cycles"
         )
     return "\n".join(lines)
-
-
-def run(
-    benchmarks: tuple[str, ...] = BENCHMARKS,
-    cache_sizes_mb: tuple[int, ...] = CACHE_SIZES_MB,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[str, dict[tuple[Scheme, int], float]]:
-    """Compatibility wrapper: simulate the grid and tabulate it."""
-    from repro.experiments.orchestrator import results_by_spec, run_sweep
-
-    specs = cells(benchmarks, cache_sizes_mb, scale=scale)
-    summary = run_sweep(specs)
-    return tabulate(results_by_spec(summary, specs))
-
-
-def main() -> None:
-    from repro.experiments.registry import main_for
-
-    main_for("fig16")
-
-
-if __name__ == "__main__":
-    main()

@@ -64,26 +64,3 @@ def render(results: Mapping[SimSpec, RunStats]) -> str:
             "CMP-SNUCA-3D (cycles)"
         ),
     )
-
-
-def run(
-    benchmarks: tuple[str, ...] = BENCHMARKS,
-    layer_counts: tuple[int, ...] = LAYER_COUNTS,
-    scale: Optional[ExperimentScale] = None,
-) -> dict[str, dict[int, float]]:
-    """Compatibility wrapper: simulate the grid and tabulate it."""
-    from repro.experiments.orchestrator import results_by_spec, run_sweep
-
-    specs = cells(benchmarks, layer_counts, scale=scale)
-    summary = run_sweep(specs)
-    return tabulate(results_by_spec(summary, specs))
-
-
-def main() -> None:
-    from repro.experiments.registry import main_for
-
-    main_for("fig18")
-
-
-if __name__ == "__main__":
-    main()

@@ -20,12 +20,11 @@ The sweep returns a :class:`SweepSummary` whose counters (``simulated``,
 ``cached``, ``failed``) make cache behaviour auditable: a warm-cache
 rerun reports ``simulated == 0``.
 
-:func:`execute_cell` is the single-cell unit of the same fan-out —
-one worker process, per-cell timeout, bounded crash/timeout retry —
-factored out so other schedulers (the ``repro serve`` job store in
-:mod:`repro.serve.scheduler`) submit cells one at a time instead of as a
-closed batch.  Failures surface as :class:`CellExecutionError` carrying
-the same structured ``kind`` a :class:`CellFailure` records.
+:func:`run_in_processes` is the one place cells leave this process —
+one fresh worker process per cell, per-cell timeout, bounded
+crash/timeout retry.  ``run_sweep(jobs > 1)`` fans a grid out through
+it, and the ``repro serve`` head's pool and remote workers run one
+cell at a time through it (:func:`repro.serve.scheduler.cell_outcome`).
 """
 
 from __future__ import annotations
@@ -238,97 +237,8 @@ def _cell_entry(spec_dict: dict, conn, trace_dir: Optional[str] = None) -> None:
         conn.close()
 
 
-class CellExecutionError(Exception):
-    """A single-cell execution could not produce a result.
-
-    The exception-shaped twin of :class:`CellFailure` for callers that
-    run cells one at a time (:func:`execute_cell`): same structured
-    ``kind`` ("error" | "timeout" | "crash" | "stall" | "deadlock"),
-    message, and attempt count, so the sweep service can map it straight
-    to an error body.
-    """
-
-    def __init__(self, kind: str, message: str, attempts: int = 1):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.message = message
-        self.attempts = attempts
-
-    def to_failure(self, spec: SimSpec) -> CellFailure:
-        return CellFailure(spec, self.kind, self.message, self.attempts)
-
-
-def execute_cell(
-    spec: SimSpec,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    trace_dir: Optional[str] = None,
-) -> RunStats:
-    """Run one cell in a fresh worker process and block for its result.
-
-    The single-cell unit of the PR-2 fan-out: process isolation, an
-    optional per-cell wall-clock timeout, and up to ``retries``
-    re-executions after a worker crash or timeout.  Structured
-    simulation failures (stall, deadlock, plain errors) are **not**
-    retried — they are deterministic functions of the spec — and raise
-    :class:`CellExecutionError` immediately.
-    """
-    ctx = multiprocessing.get_context()
-    attempt = 0
-    while True:
-        attempt += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_cell_entry,
-            args=(spec.to_dict(), child_conn, trace_dir),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        payload = None
-        timed_out = False
-        try:
-            if timeout_s is not None and not parent_conn.poll(timeout_s):
-                timed_out = True
-            else:
-                try:
-                    payload = parent_conn.recv()
-                except (EOFError, OSError):
-                    payload = None  # worker died before sending
-        finally:
-            parent_conn.close()
-            if payload is None:
-                process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.kill()
-                process.join()
-
-        if payload is not None and payload[0] == "ok":
-            return RunStats.from_dict(payload[1])
-        if payload is not None:
-            __, kind, message, trace = payload
-            raise CellExecutionError(
-                kind, f"{message}\n{trace}", attempts=attempt
-            )
-        if timed_out:
-            kind, message = "timeout", f"exceeded {timeout_s:.1f}s"
-        else:
-            kind = "crash"
-            message = f"worker exited with code {process.exitcode}"
-        if attempt <= retries:
-            continue
-        raise CellExecutionError(kind, message, attempts=attempt)
-
-
-@dataclass
-class _Slot:
-    """One in-flight worker process."""
-
-    index: int
-    process: multiprocessing.Process
-    conn: object
-    deadline: Optional[float]
+def _silent(message: str) -> None:
+    pass
 
 
 def run_sweep(
@@ -345,11 +255,12 @@ def run_sweep(
     """Run every cell of a grid, in parallel, through the result cache.
 
     ``jobs <= 1`` runs cells inline in this process (the determinism
-    reference; ``timeout_s`` does not apply).  ``jobs > 1`` fans cells
-    out across worker processes with per-cell timeout and up to
-    ``retries`` re-executions after a crash or timeout.  Duplicate specs
-    are simulated once.  ``runner`` overrides the cell function for the
-    inline path (tests inject failing runners); parallel workers always
+    reference; ``timeout_s`` does not apply).  ``jobs > 1`` runs every
+    cell that misses the cache through :func:`run_in_processes`, however
+    few there are, with per-cell timeout and up to ``retries``
+    re-executions after a crash or timeout.  Duplicate specs are
+    simulated once.  ``runner`` overrides the cell function for the
+    inline path (tests inject failing runners); worker processes always
     execute :func:`run_spec`.
 
     Cells whose spec carries a :class:`~repro.sim.trace.TraceSpec` export
@@ -360,10 +271,6 @@ def run_sweep(
     summary = SweepSummary()
     started = time.monotonic()
     cache = ResultCache(cache_dir) if use_cache else None
-
-    def _silent(message: str) -> None:
-        pass
-
     say = progress or _silent
 
     # Resolve cache hits up front; deduplicate the remainder.
@@ -389,48 +296,83 @@ def run_sweep(
             cache.put(spec, stats)
         say(f"done {spec.label()} ({len(summary.results)} ready)")
 
-    if jobs <= 1 or len(pending) <= 1:
+    if jobs > 1:
+        failures = run_in_processes(
+            pending, finish, jobs=jobs, timeout_s=timeout_s,
+            retries=retries, say=say, trace_dir=trace_dir,
+        )
+    else:
         cell = runner or (lambda spec: _run_cell(spec, trace_dir))
-        for spec in pending:
-            try:
-                finish(spec, cell(spec))
-            except Exception as exc:
-                summary.failures.append(
-                    CellFailure(spec, _failure_kind(exc),
-                                f"{type(exc).__name__}: {exc}", attempts=1)
-                )
-                say(f"FAILED {spec.label()}: {exc}")
-        summary.elapsed_s = time.monotonic() - started
-        return summary
-
-    _run_parallel(
-        pending, jobs, timeout_s, retries, finish, summary, say, trace_dir
-    )
+        failures = run_inline(pending, finish, cell, say=say)
+    summary.failures.extend(failures)
     summary.elapsed_s = time.monotonic() - started
     return summary
 
 
-def _run_parallel(
-    pending: Sequence[SimSpec],
-    jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
+def run_inline(
+    specs: Sequence[SimSpec],
     finish: Callable[[SimSpec, RunStats], None],
-    summary: SweepSummary,
-    say: Callable[[str], None],
+    runner: Callable[[SimSpec], RunStats],
+    say: Callable[[str], None] = _silent,
+) -> list[CellFailure]:
+    """Run each cell through ``runner`` in this process, one at a time.
+
+    ``finish`` receives each result; an exception becomes the cell's
+    :class:`CellFailure`.  Returns the failures.
+    """
+    failures: list[CellFailure] = []
+    for spec in specs:
+        try:
+            finish(spec, runner(spec))
+        except Exception as exc:
+            failures.append(
+                CellFailure(spec, _failure_kind(exc),
+                            f"{type(exc).__name__}: {exc}", attempts=1)
+            )
+            say(f"FAILED {spec.label()}: {exc}")
+    return failures
+
+
+@dataclass
+class _Slot:
+    """One in-flight worker process."""
+
+    index: int
+    process: multiprocessing.Process
+    conn: object
+    deadline: Optional[float]
+
+
+def run_in_processes(
+    specs: Sequence[SimSpec],
+    finish: Callable[[SimSpec, RunStats], None],
+    *,
+    jobs: int = 1,
+    timeout_s: Optional[float] = None,
+    retries: int = 1,
+    say: Callable[[str], None] = _silent,
     trace_dir: Optional[str] = None,
-) -> None:
-    """Fan ``pending`` out over worker processes with timeout + retry."""
+) -> list[CellFailure]:
+    """Run each cell in a fresh worker process, ``jobs`` at a time.
+
+    The one way a cell leaves this process.  A worker that outlives
+    ``timeout_s`` is killed, and one that dies without reporting is a
+    crash; either cell runs again, up to ``retries`` times.  A failure
+    the worker reports (error, stall, deadlock) is a deterministic
+    function of the spec and is not retried.  ``finish`` receives each
+    result as it lands.  Returns the failures.
+    """
     ctx = multiprocessing.get_context()
-    queue: list[tuple[int, int]] = [(i, 1) for i in range(len(pending))]
+    queue: list[tuple[int, int]] = [(i, 1) for i in range(len(specs))]
     slots: dict[int, _Slot] = {}
     attempts: dict[int, int] = {}
+    failures: list[CellFailure] = []
 
     def launch(index: int, attempt: int) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_cell_entry,
-            args=(pending[index].to_dict(), child_conn, trace_dir),
+            args=(specs[index].to_dict(), child_conn, trace_dir),
             daemon=True,
         )
         process.start()
@@ -451,14 +393,14 @@ def _run_parallel(
         del slots[slot.index]
 
     def retry_or_fail(slot: _Slot, kind: str, message: str) -> None:
-        spec = pending[slot.index]
+        spec = specs[slot.index]
         attempt = attempts[slot.index]
         if attempt <= retries:
             say(f"retrying {spec.label()} after {kind} "
                 f"(attempt {attempt + 1})")
             queue.append((slot.index, attempt + 1))
         else:
-            summary.failures.append(
+            failures.append(
                 CellFailure(spec, kind, message, attempts=attempt)
             )
             say(f"FAILED {spec.label()}: {kind}: {message}")
@@ -485,12 +427,12 @@ def _run_parallel(
                     continue
                 reap(slot)
                 if payload[0] == "ok":
-                    finish(pending[slot.index],
+                    finish(specs[slot.index],
                            RunStats.from_dict(payload[1]))
                 else:
                     __, kind, message, trace = payload
-                    spec = pending[slot.index]
-                    summary.failures.append(
+                    spec = specs[slot.index]
+                    failures.append(
                         CellFailure(
                             spec, kind, f"{message}\n{trace}",
                             attempts=attempts[slot.index],
@@ -519,6 +461,7 @@ def _run_parallel(
                 slot.process.kill()
             slot.conn.close()
             del slots[slot.index]
+    return failures
 
 
 def results_by_spec(

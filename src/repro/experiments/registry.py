@@ -1,29 +1,33 @@
 """One driver for all ten table/figure reproductions.
 
-Every experiment module exposes the same two-function interface:
+Every experiment module exposes the same interface:
 
 * ``cells() -> list[SimSpec]`` — the simulation grid the experiment
-  needs (empty for the analytic tables, which need no simulation), and
+  needs (empty for the analytic tables, which need no simulation),
+* ``tabulate(results)`` — a simulated experiment's numbers, keyed as
+  its figure is, and
 * ``render(results: Mapping[SimSpec, RunStats]) -> str`` — the
   paper-style text output given those cells' results.
 
-:func:`run_experiment` is the single code path that executes them: it
-collects the cells, hands them to the :mod:`repro.api` facade
-(parallelism, result cache, failure records), and renders.  The CLI's
-``experiments`` and ``sweep`` commands and the modules' own ``main()``
-entry points all land here, so cells shared between experiments (Figs
-13/14/15 and Table 5 overlap heavily) are simulated exactly once per
-cache.
+The grid reaches the simulator by one path: :func:`table` and
+:func:`run_experiment` both hand the cells to the :mod:`repro.api`
+facade (parallelism, result cache, failure records).  The CLI's
+``experiments`` and ``sweep`` commands and the paper-shape checks under
+``benchmarks/`` all land there, so cells shared between experiments
+(Figs 13/14/15 and Table 5 overlap heavily) are simulated exactly once
+per cache.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from repro import api
 from repro.core.schemes import Scheme
+from repro.core.system import RunStats
 from repro.experiments.orchestrator import SweepSummary, results_by_spec
+from repro.experiments.spec import SimSpec
 
 #: Paper presentation order; also the CLI's ``experiments`` choices.
 EXPERIMENT_NAMES: tuple[str, ...] = (
@@ -49,6 +53,33 @@ def get_experiment(name: str):
     return importlib.import_module(f"repro.experiments.{name}")
 
 
+def _results(
+    name: str, specs: list[SimSpec], **sweep_kwargs
+) -> tuple[Mapping[SimSpec, RunStats], SweepSummary]:
+    """Sweep ``specs`` through :func:`repro.api.sweep`; raise on failure."""
+    summary = api.sweep(specs, **sweep_kwargs)
+    if summary.failures:
+        details = "; ".join(
+            f"{failure.spec.label()}: {failure.kind}"
+            for failure in summary.failures
+        )
+        raise RuntimeError(f"{name}: {summary.failed} cell(s) failed: {details}")
+    return results_by_spec(summary, specs), summary
+
+
+def table(name: str, **cell_kwargs) -> dict:
+    """Simulate a figure's grid and return its ``tabulate`` numbers.
+
+    ``cell_kwargs`` go to the module's ``cells()`` (a benchmark subset, a
+    scale); the sweep runs with :func:`repro.api.sweep`'s defaults.
+    Raises ``RuntimeError`` if any cell failed, as
+    :func:`run_experiment` does.
+    """
+    module = get_experiment(name)
+    results, __ = _results(name, module.cells(**cell_kwargs))
+    return module.tabulate(results)
+
+
 def run_experiment(
     name: str,
     jobs: int = 1,
@@ -65,9 +96,9 @@ def run_experiment(
     :func:`~repro.experiments.orchestrator.run_sweep` call).
     """
     module = get_experiment(name)
-    specs = module.cells()
-    summary = api.sweep(
-        specs,
+    results, summary = _results(
+        name,
+        module.cells(),
         jobs=jobs,
         use_cache=use_cache,
         cache_dir=cache_dir,
@@ -75,17 +106,4 @@ def run_experiment(
         retries=retries,
         progress=progress,
     )
-    if summary.failures:
-        details = "; ".join(
-            f"{failure.spec.label()}: {failure.kind}"
-            for failure in summary.failures
-        )
-        raise RuntimeError(f"{name}: {summary.failed} cell(s) failed: {details}")
-    text = module.render(results_by_spec(summary, specs))
-    return text, summary
-
-
-def main_for(name: str) -> None:
-    """Shared ``main()`` body for the experiment modules' CLI entry."""
-    text, __ = run_experiment(name)
-    print(text)
+    return module.render(results), summary

@@ -13,7 +13,7 @@ from __future__ import annotations
 def format_table(
     headers: list[str], rows: list[list[str]], title: str = ""
 ) -> str:
-    """Plain-text table used by every experiment's ``main``."""
+    """Plain-text table used by every experiment's ``render``."""
     widths = [
         max(len(str(headers[i])), *(len(str(r[i])) for r in rows))
         for i in range(len(headers))

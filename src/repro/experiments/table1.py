@@ -45,12 +45,3 @@ def render(results: Mapping[SimSpec, RunStats] = ()) -> str:
             ),
         ]
     )
-
-
-def main() -> list[tuple[str, float, float]]:
-    print(render({}))
-    return run()
-
-
-if __name__ == "__main__":
-    main()

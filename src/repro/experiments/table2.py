@@ -34,12 +34,3 @@ def render(results: Mapping[SimSpec, RunStats] = ()) -> str:
         formatted,
         title="Table 2: inter-wafer wiring area per pillar",
     )
-
-
-def main() -> list[tuple[float, float]]:
-    print(render({}))
-    return run()
-
-
-if __name__ == "__main__":
-    main()

@@ -89,7 +89,7 @@ def run() -> list[tuple[ThermalCase, ThermalProfile]]:
     ]
 
 
-def _format(results: list[tuple[ThermalCase, ThermalProfile]]) -> str:
+def render(results: Mapping[SimSpec, RunStats] = ()) -> str:
     rows = [
         [
             case.label,
@@ -97,24 +97,10 @@ def _format(results: list[tuple[ThermalCase, ThermalProfile]]) -> str:
             f"{profile.avg_c:.2f} ({case.paper_avg:.2f})",
             f"{profile.min_c:.2f} ({case.paper_min:.2f})",
         ]
-        for case, profile in results
+        for case, profile in run()
     ]
     return format_table(
         ["Configuration", "Peak C (paper)", "Avg C (paper)", "Min C (paper)"],
         rows,
         title="Table 3: thermal profile of placement configurations",
     )
-
-
-def render(results: Mapping[SimSpec, RunStats] = ()) -> str:
-    return _format(run())
-
-
-def main() -> list[tuple[ThermalCase, ThermalProfile]]:
-    results = run()
-    print(_format(results))
-    return results
-
-
-if __name__ == "__main__":
-    main()

@@ -78,24 +78,3 @@ def render(results: Mapping[SimSpec, RunStats]) -> str:
         rows,
         title="Table 5: benchmark characterization (paper vs synthetic)",
     )
-
-
-def run(
-    scale: Optional[ExperimentScale] = None,
-) -> dict[str, dict[str, float]]:
-    """Compatibility wrapper: simulate the grid and tabulate it."""
-    from repro.experiments.orchestrator import results_by_spec, run_sweep
-
-    specs = cells(scale=scale)
-    summary = run_sweep(specs)
-    return tabulate(results_by_spec(summary, specs))
-
-
-def main() -> None:
-    from repro.experiments.registry import main_for
-
-    main_for("table5")
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, TYPE_CHECKING
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.noc.fabric import FABRIC_NAMES, FabricKind
+from repro.noc.fabric import FabricKind
 from repro.noc.flit import IdScope
 from repro.noc.link import LinkPipeline
 from repro.noc.packet import FlitPool, Packet, MessageClass
@@ -26,9 +26,6 @@ from repro.noc.interface import NetworkInterface
 
 if TYPE_CHECKING:
     from repro.faults.state import FaultState
-
-# Backwards-compatible alias; FabricKind.parse is the validator now.
-FABRICS = FABRIC_NAMES
 
 
 @dataclass

@@ -23,14 +23,13 @@ Three pieces:
   request **executes head-side** but the caller sees a failure, so a
   retrying worker produces duplicate pushes — which the head must fold
   at most once.
-* :class:`RestartableHead` — a real :class:`~repro.serve.server
-  .SweepServer` + :class:`~repro.serve.scheduler.JobStore` on a
-  background event-loop thread that can be killed abruptly (no
-  compaction, no farewell — in-memory state simply vanishes, exactly
-  like ``kill -9``) and restarted on the *same* cache dir and port, so
-  journal recovery is exercised against live clients.  Set
-  ``kill_after_folds`` to crash deterministically at the N-th result
-  fold (a cell boundary).
+* :class:`RestartableHead` — the CLI's own head lifecycle
+  (:func:`~repro.serve.server.serve_forever`) on a background
+  event-loop thread that can be killed abruptly (no compaction, no
+  farewell — in-memory state simply vanishes, exactly like ``kill -9``)
+  and restarted on the *same* cache dir and port, so journal recovery is
+  exercised against live clients.  Set ``kill_after_folds`` to crash
+  deterministically at the N-th result fold (a cell boundary).
 
 None of this is imported by production paths; it lives in the package
 (not in ``tests/``) so external users can chaos-test their own
@@ -47,7 +46,7 @@ from typing import Optional
 
 from repro.serve.client import ServeClient, ServeConnectionError
 from repro.serve.scheduler import JobStore
-from repro.serve.server import SweepServer
+from repro.serve.server import serve_forever
 from repro.sim.rng import make_rng
 
 
@@ -156,20 +155,21 @@ class ChaosClient(ServeClient):
 class RestartableHead:
     """A live head that can be killed abruptly and restarted in place.
 
-    The JobStore runs with its durable journal on ``cache_dir``; a
-    :meth:`kill` tears the event loop down without compaction or any
-    farewell writes — from the journal's point of view it is a crash —
-    and :meth:`restart` boots a fresh store on the same cache dir and
-    re-binds the *same* port, so clients mid-backoff reconnect to the
-    recovered head transparently.
+    It runs :func:`~repro.serve.server.serve_forever` on a background
+    event-loop thread.  :meth:`kill` cancels that task: the server and
+    store close without compaction or any farewell writes, so to the
+    journal on ``cache_dir`` it is a crash.  :meth:`restart` boots a
+    fresh store on the same cache dir and re-binds the *same* port, so
+    clients mid-backoff reconnect to the recovered head transparently.
+    Without ``cache_dir`` the store takes its cache settings from
+    ``store_kwargs``.
     """
 
-    def __init__(self, cache_dir, **store_kwargs):
-        self.cache_dir = str(cache_dir)
+    def __init__(self, cache_dir=None, **store_kwargs):
         self.store_kwargs = dict(store_kwargs)
         self.store_kwargs.setdefault("workers", 0)
-        self.store_kwargs["use_cache"] = True
-        self.store_kwargs["cache_dir"] = self.cache_dir
+        if cache_dir is not None:
+            self.store_kwargs["cache_dir"] = str(cache_dir)
         self.port = 0
         self.store: Optional[JobStore] = None
         self.restarts = 0
@@ -178,7 +178,8 @@ class RestartableHead:
         self.kill_after_folds: Optional[int] = None
         self._thread: Optional[threading.Thread] = None
         self._loop = None
-        self._stop: Optional[asyncio.Event] = None
+        self._task: Optional[asyncio.Task] = None
+        self._killed = False
         self._ready: Optional[threading.Event] = None
         self._failure: Optional[BaseException] = None
 
@@ -207,9 +208,9 @@ class RestartableHead:
 
     def kill(self) -> None:
         """Abrupt stop: in-memory jobs, queues, and leases vanish."""
-        if self._loop is not None and self._stop is not None:
+        if self._loop is not None:
             try:
-                self._loop.call_soon_threadsafe(self._stop.set)
+                self._loop.call_soon_threadsafe(self._cancel)
             except RuntimeError:
                 pass  # loop already gone (a self-kill fired first)
         self.wait_down()
@@ -235,6 +236,8 @@ class RestartableHead:
     def _thread_main(self) -> None:
         try:
             asyncio.run(self._serve())
+        except asyncio.CancelledError:
+            pass  # killed: serve_forever closed the server and the store
         except Exception as exc:  # surface boot failures to the caller
             self._failure = exc
             if self._ready is not None:
@@ -242,21 +245,25 @@ class RestartableHead:
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
+        self._task = asyncio.current_task()
+        self._killed = False
         self.store = JobStore(**self.store_kwargs)
-        await self.store.start()
         kill_after = self.kill_after_folds
         self.kill_after_folds = None  # consumed; re-arm per start if needed
         if kill_after is not None:
             self._arm_fold_crash(self.store, kill_after)
-        server = SweepServer(self.store, port=self.port)
-        self.port = await server.start()
+        await serve_forever(self.store, port=self.port, ready=self._up)
+
+    def _up(self, port: int) -> None:
+        self.port = port
         self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.close()
-            await self.store.close()
+
+    def _cancel(self) -> None:
+        """Cancel the serving task (on the loop thread).  Only once: a
+        second cancel would cut serve_forever's cleanup short."""
+        if not self._killed:
+            self._killed = True
+            self._task.cancel()
 
     def _arm_fold_crash(self, store: JobStore, folds: int) -> None:
         """Crash this head right after its ``folds``-th result fold.
@@ -272,6 +279,6 @@ class RestartableHead:
             original(*args, **kwargs)
             state["folds"] += 1
             if state["folds"] == folds:
-                self._stop.set()  # we are on the loop thread here
+                self._cancel()  # we are on the loop thread here
 
         store._resolve = wrapped

@@ -39,9 +39,10 @@ async-submittable store:
   ``journal=False`` keeps the store purely in memory.
 
 Everything runs on one asyncio event loop; the only threads are the
-local pool's.  A cell runs through
-:func:`repro.experiments.orchestrator.execute_cell` (a worker process)
-unless ``runner`` (e.g. ``run_spec``, in-thread) is given.
+local pool's.  A cell runs in a worker process through
+:func:`repro.experiments.orchestrator.run_in_processes`, the sweep's
+own process runner, unless ``runner`` (e.g. ``run_spec``, in-thread)
+is given.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ from typing import AsyncIterator, Callable, Optional, Sequence
 
 from repro.core.system import RunStats
 from repro.experiments.orchestrator import (
-    CellExecutionError,
     ResultCache,
-    _failure_kind,
-    execute_cell,
+    run_in_processes,
+    run_inline,
 )
 from repro.experiments.spec import SimSpec
 from repro.serve.journal import JOURNAL_NAME, Journal
@@ -98,31 +98,28 @@ def cell_outcome(
 ) -> CellOutcome:
     """Run one cell, head-local or on a remote worker; never raises.
 
-    ``runner`` runs it when given, else :func:`execute_cell` (process
-    isolation, ``timeout_s``, ``retries``); any failure becomes an error
+    ``runner`` runs it in this thread when given; otherwise it runs in a
+    fresh process through the sweep's own
+    :func:`~repro.experiments.orchestrator.run_in_processes`
+    (``timeout_s``, ``retries``).  A failed cell becomes an error
     outcome.
     """
-    spec_hash = spec.spec_hash()
-    try:
-        if runner is not None:
-            stats = runner(spec)
-        else:
-            stats = execute_cell(spec, timeout_s=timeout_s, retries=retries)
-    except CellExecutionError as exc:
-        error = {
-            "kind": exc.kind,
-            "message": exc.message,
-            "attempts": exc.attempts,
-        }
-    except Exception as exc:  # injected-runner failures
-        error = {
-            "kind": _failure_kind(exc),
-            "message": f"{type(exc).__name__}: {exc}",
-            "attempts": 1,
-        }
+    done: dict[SimSpec, RunStats] = {}
+    if runner is None:
+        failures = run_in_processes(
+            [spec], done.__setitem__, timeout_s=timeout_s, retries=retries
+        )
     else:
-        return CellOutcome(spec_hash=spec_hash, stats=stats)
-    return CellOutcome(spec_hash=spec_hash, error=error)
+        failures = run_inline([spec], done.__setitem__, runner)
+    spec_hash = spec.spec_hash()
+    if failures:
+        (failure,) = failures
+        return CellOutcome(spec_hash=spec_hash, error={
+            "kind": failure.kind,
+            "message": failure.message,
+            "attempts": failure.attempts,
+        })
+    return CellOutcome(spec_hash=spec_hash, stats=done[spec])
 
 
 def _max_serial(floor: int, prefix: str, ids) -> int:
@@ -411,7 +408,7 @@ class JobStore:
 
     @property
     def executor_kind(self) -> str:
-        """``"process"`` (:func:`execute_cell`) or ``"inline"`` (a runner)."""
+        """``"process"`` (a worker process) or ``"inline"`` (a runner)."""
         return "process" if self._runner is None else "inline"
 
     # -- lifecycle -------------------------------------------------------------

@@ -1,10 +1,11 @@
 """End-to-end tests for the sweep service over real HTTP.
 
-Each fixture boots a :class:`SweepServer` + :class:`JobStore` on an
-event loop in a background thread, bound to an ephemeral port; tests
-talk to it with the synchronous :class:`ServeClient`, exactly as the
-CLI does.  Small grids run the real simulator (in-thread run_spec, tiny
-scale); scheduling-behaviour tests inject stub runners.
+Each fixture boots a head with :class:`RestartableHead` — the CLI's
+``serve_forever`` on an event loop in a background thread, bound to an
+ephemeral port; tests talk to it with the synchronous
+:class:`ServeClient`, exactly as the CLI does.  Small grids run the
+real simulator (in-thread run_spec, tiny scale); scheduling-behaviour
+tests inject stub runners.
 """
 
 import asyncio
@@ -17,6 +18,7 @@ from repro.core.schemes import Scheme
 from repro.core.system import RunStats
 from repro.experiments.config import ExperimentScale
 from repro.experiments.spec import SimSpec, run_spec
+from repro.serve.chaos import RestartableHead
 from repro.serve.client import (
     AsyncServeClient,
     ProtocolMismatch,
@@ -27,8 +29,6 @@ from repro.serve.client import (
     UnknownResourceError,
 )
 from repro.serve.protocol import PROTOCOL_VERSION
-from repro.serve.scheduler import JobStore
-from repro.serve.server import SweepServer
 
 TINY = ExperimentScale(name="tiny", refs_per_cpu=50)
 
@@ -58,65 +58,11 @@ def fake_stats(spec: SimSpec, latency: float = 42.0) -> RunStats:
     )
 
 
-class LiveServer:
-    """SweepServer on its own event-loop thread, torn down after the test."""
-
-    def __init__(self, **store_kwargs):
-        self.store_kwargs = store_kwargs
-        self.port = 0
-        self.store = None
-        self._ready = threading.Event()
-        self._failure = None
-        self._loop = None
-        self._stop = None
-        self._thread = threading.Thread(target=self._thread_main, daemon=True)
-
-    def start(self) -> "LiveServer":
-        self._thread.start()
-        assert self._ready.wait(timeout=30.0), "server never came up"
-        if self._failure is not None:
-            raise self._failure
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30.0)
-        assert not self._thread.is_alive(), "server thread failed to stop"
-
-    def client(self, tenant: str = "default") -> ServeClient:
-        return ServeClient(port=self.port, tenant=tenant, timeout_s=60.0)
-
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._serve())
-        except Exception as exc:  # surface boot failures to the test thread
-            self._failure = exc
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self.store = JobStore(**self.store_kwargs)
-        await self.store.start()
-        server = SweepServer(self.store, port=0)
-        self.port = await server.start()
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.close()
-            await self.store.close()
-
-
 @pytest.fixture
 def live_server(tmp_path):
     """Real-simulation server: in-thread run_spec, caching into tmp_path."""
-    server = LiveServer(
-        workers=2,
-        runner=run_spec,
-        use_cache=True,
-        cache_dir=str(tmp_path / "cache"),
+    server = RestartableHead(
+        tmp_path / "cache", workers=2, runner=run_spec
     ).start()
     yield server
     server.stop()
@@ -129,7 +75,7 @@ def stub_server_factory():
 
     def build(**store_kwargs):
         store_kwargs.setdefault("use_cache", False)
-        server = LiveServer(**store_kwargs).start()
+        server = RestartableHead(**store_kwargs).start()
         servers.append(server)
         return server
 

@@ -1,8 +1,9 @@
 """End-to-end tests for distributed sweep workers over real HTTP.
 
-A head (``workers=0`` — no local execution) is booted per test via the
-:class:`LiveServer` helper; remote :class:`WorkerNode` instances lease
-cells from it, execute injected runners, and push results back.  The
+A head (``workers=0`` — no local execution) is booted per test via
+:class:`~repro.serve.chaos.RestartableHead`; remote :class:`WorkerNode`
+instances lease cells from it, execute injected runners, and push
+results back.  The
 headline failover test runs one worker in a separate OS process, wedges
 it mid-batch, and ``kill -9``\\ s it: the head's lease reaper must
 requeue its cells and a healthy worker must still complete the grid
@@ -18,9 +19,10 @@ import time
 import pytest
 
 from repro.experiments.orchestrator import ResultCache
+from repro.serve.chaos import RestartableHead
 from repro.serve.client import ServeClient, ServeConnectionError
 from repro.serve.worker import WorkerNode
-from tests.integration.test_serve import LiveServer, fake_stats, make_spec
+from tests.integration.test_serve import fake_stats, make_spec
 
 GRID_BENCHMARKS = ("art", "swim", "mgrid", "applu")
 
@@ -41,7 +43,7 @@ def wait_for(predicate, timeout_s=30.0, interval_s=0.02, what="condition"):
 @pytest.fixture
 def head():
     """Head-only store: every cell must travel through a remote lease."""
-    server = LiveServer(
+    server = RestartableHead(
         workers=0, use_cache=False, lease_ttl_s=0.5, worker_retries=3
     ).start()
     yield server
@@ -155,12 +157,7 @@ class TestCacheSync:
     def test_worker_warms_local_cache_from_head(self, tmp_path):
         """A worker fetches known artifacts instead of resimulating."""
         head_cache = tmp_path / "head-cache"
-        server = LiveServer(
-            workers=0,
-            use_cache=True,
-            cache_dir=str(head_cache),
-            lease_ttl_s=5.0,
-        ).start()
+        server = RestartableHead(head_cache, lease_ttl_s=5.0).start()
         try:
             spec = make_spec()
             ResultCache(str(head_cache)).put(spec, fake_stats(spec))
@@ -188,12 +185,7 @@ class TestCacheSync:
     def test_pushed_results_replicate_to_head_cache(self, tmp_path):
         """A cell simulated on a worker becomes a head artifact."""
         head_cache = tmp_path / "head-cache"
-        server = LiveServer(
-            workers=0,
-            use_cache=True,
-            cache_dir=str(head_cache),
-            lease_ttl_s=5.0,
-        ).start()
+        server = RestartableHead(head_cache, lease_ttl_s=5.0).start()
         try:
             spec = make_spec()
             node = WorkerNode(
@@ -303,7 +295,7 @@ class TestWorkerFailover:
 
     def test_retry_exhaustion_fails_structured(self):
         """With no healthy worker, the budget runs out as worker_lost."""
-        server = LiveServer(
+        server = RestartableHead(
             workers=0, use_cache=False, lease_ttl_s=0.2, worker_retries=1
         ).start()
         try:
@@ -342,7 +334,7 @@ class TestHeartbeatResilience:
         re-lease — not die silently and leave the lease to rot."""
         # TTL 6s: the reaper cannot help here — any requeue within the
         # test window must come from the early-release path.
-        server = LiveServer(
+        server = RestartableHead(
             workers=0, use_cache=False, lease_ttl_s=6.0, worker_retries=3
         ).start()
         try:
@@ -398,7 +390,7 @@ class TestGracefulDrain:
     def test_drain_pushes_inflight_and_releases_rest(self, tmp_path):
         """drain(): in-flight cells finish and push; unstarted cells go
         back via POST /leases/<id>/release, not by waiting out the TTL."""
-        server = LiveServer(
+        server = RestartableHead(
             workers=0, use_cache=False, lease_ttl_s=30.0, worker_retries=3
         ).start()
         try:
@@ -513,7 +505,7 @@ class TestSigtermDrain:
     def test_sigterm_finishes_inflight_and_releases(self):
         """kill -TERM mid-batch: the process finishes the running cell,
         pushes it, releases the unstarted rest, and exits 0."""
-        server = LiveServer(
+        server = RestartableHead(
             workers=0, use_cache=False, lease_ttl_s=30.0, worker_retries=3
         ).start()
         try:

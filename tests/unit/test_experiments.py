@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.core.schemes import Scheme
 from repro.core.system import RunStats
 from repro.experiments.config import (
@@ -10,10 +11,13 @@ from repro.experiments.config import (
     ExperimentScale,
     current_scale,
 )
+from repro.experiments.orchestrator import CellFailure, SweepSummary
 from repro.experiments.registry import (
     EXPERIMENT_NAMES,
     SCHEME_ORDER,
     get_experiment,
+    run_experiment,
+    table,
 )
 from repro.experiments.runner import format_table
 from repro.experiments.spec import SimSpec, run_spec
@@ -41,12 +45,6 @@ class TestScales:
         assert scale.warmup_events_for(8) == 4000
         assert scale.warmup_events_for(4) == 2000
         assert scale.warmup_events_for(16) == 8000
-
-    def test_warmup_events_property_assumes_eight_cpus(self):
-        scale = ExperimentScale(
-            name="x", refs_per_cpu=1000, warmup_fraction=0.5
-        )
-        assert scale.warmup_events == scale.warmup_events_for(8)
 
     def test_scale_round_trips(self):
         scale = ExperimentScale(
@@ -162,6 +160,61 @@ class TestUniformInterface:
         assert set(get_experiment("table5").cells()) <= fig13
 
 
+def fake_sweep(specs, **kwargs) -> SweepSummary:
+    return SweepSummary(results={spec: fake_stats(spec) for spec in specs})
+
+
+class TestRegistryTable:
+    """``registry.table`` with the arguments each shape check passes.
+
+    The paper-shape checks under ``benchmarks/`` run outside tier-1;
+    this keeps their call into the registry honest over fake stats.
+    """
+
+    @pytest.mark.parametrize("name, cell_kwargs", [
+        ("fig13", {"benchmarks": ("art", "mgrid", "swim"), "scale": QUICK}),
+        ("fig14", {"benchmarks": ("art", "mgrid", "swim"), "scale": QUICK}),
+        ("fig15", {"benchmarks": ("art", "mgrid", "swim"), "scale": QUICK}),
+        ("fig16", {"benchmarks": ("galgel", "swim"), "scale": QUICK}),
+        ("fig17", {"benchmarks": ("art", "swim"), "scale": QUICK}),
+        ("fig18", {"benchmarks": ("art", "swim"), "scale": QUICK}),
+        ("table5", {"scale": QUICK}),
+    ])
+    def test_table_tabulates_the_swept_grid(
+        self, monkeypatch, name, cell_kwargs
+    ):
+        swept = []
+
+        def recording_sweep(specs, **kwargs):
+            swept.append(list(specs))
+            return fake_sweep(specs)
+
+        monkeypatch.setattr(api, "sweep", recording_sweep)
+        module = get_experiment(name)
+        specs = module.cells(**cell_kwargs)
+        result = table(name, **cell_kwargs)
+        assert swept == [specs]
+        assert result == module.tabulate(fake_sweep(specs).results)
+        assert set(result) == {spec.benchmark for spec in specs}
+
+    def test_failed_cell_raises(self, monkeypatch):
+        def failing_sweep(specs, **kwargs):
+            summary = fake_sweep(specs[1:])
+            summary.failures.append(
+                CellFailure(specs[0], "crash", "worker exited", attempts=2)
+            )
+            return summary
+
+        monkeypatch.setattr(api, "sweep", failing_sweep)
+        with pytest.raises(RuntimeError, match="1 cell.*failed.*crash"):
+            table("fig17", benchmarks=("art",), scale=QUICK)
+
+    def test_run_experiment_renders_the_same_sweep(self, monkeypatch):
+        monkeypatch.setattr(api, "sweep", fake_sweep)
+        text, summary = run_experiment("fig18")
+        assert text == get_experiment("fig18").render(summary.results)
+
+
 class TestStaticTables:
     def test_table1_runs(self):
         assert len(table1.run()) == 3
@@ -174,9 +227,6 @@ class TestStaticTables:
         assert table1.cells() == []
         assert table2.cells() == []
 
-    def test_table_mains_print(self, capsys):
-        table1.main()
-        table2.main()
-        captured = capsys.readouterr()
-        assert "Table 1" in captured.out
-        assert "Table 2" in captured.out
+    def test_static_tables_render_without_cells(self):
+        assert table1.render({}).startswith("Table 1")
+        assert table2.render({}).startswith("Table 2")

@@ -280,8 +280,8 @@ class TestSerialSweep:
         assert encoded["cells"][0]["spec"] == make_spec().to_dict()
 
 
-# Three or more distinct cells force the parallel path (the orchestrator
-# inlines trivially small grids).
+# jobs > 1 alone selects the process path; with three cells and two
+# jobs, one cell waits for a free worker.
 PARALLEL_SPECS = [
     make_spec(), make_spec(benchmark="swim"), make_spec(benchmark="mgrid")
 ]
@@ -364,3 +364,27 @@ class TestParallelSweep:
         assert summary.failed == 1
         assert summary.failures[0].kind == "timeout"
         assert len(summary.results) == 2
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_last_cell_keeps_its_timeout(self, monkeypatch, tmp_path, warm):
+        """One cell left to run, on its own or behind a cache hit, still
+        runs in a worker process under the timeout."""
+        import time
+
+        cached, hanging = make_spec(), make_spec(benchmark="swim")
+        grid = [cached, hanging] if warm else [hanging]
+        ResultCache(str(tmp_path)).put(cached, fake_stats(cached))
+
+        def sleepy(spec):
+            time.sleep(3.0)
+            return fake_stats(spec)
+
+        _patched(monkeypatch, sleepy)
+        summary = run_sweep(
+            grid, jobs=2, cache_dir=str(tmp_path),
+            timeout_s=0.5, retries=0,
+        )
+        assert summary.cached == int(warm)
+        assert summary.simulated == 0
+        assert [f.kind for f in summary.failures] == ["timeout"]
+        assert summary.failures[0].spec == hanging

@@ -8,6 +8,7 @@ without simulating anything.  The HTTP layer is covered by
 """
 
 import asyncio
+import os
 import threading
 import time
 
@@ -15,11 +16,12 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.core.system import RunStats
+from repro.experiments import orchestrator
 from repro.experiments.config import ExperimentScale
 from repro.experiments.orchestrator import ResultCache
 from repro.experiments.spec import SimSpec
 from repro.serve.protocol import CellOutcome
-from repro.serve.scheduler import JobStore, QueueFullError
+from repro.serve.scheduler import JobStore, QueueFullError, cell_outcome
 
 TINY = ExperimentScale(name="tiny", refs_per_cpu=50)
 
@@ -350,6 +352,54 @@ class TestFailureKinds:
         assert results["failures"][0]["error"]["kind"] == "deadlock"
         assert totals["failure_kinds"] == {"deadlock": 1}
         assert totals["cells_failed"] == 1
+
+
+def _exploding(spec):
+    raise ValueError("bad cell")
+
+
+def _crashing(spec):
+    os._exit(3)
+
+
+def _hanging(spec):
+    time.sleep(60.0)
+
+
+class TestCellOutcomeInProcesses:
+    """``cell_outcome`` without a runner: the worker-process path.
+
+    The child is forked, so it sees ``run_spec`` patched in the
+    orchestrator module, as the sweep's process tests do.
+    """
+
+    def test_raising_cell_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "run_spec", _exploding)
+        outcome = cell_outcome(make_spec())
+        assert outcome.stats is None
+        assert outcome.error["kind"] == "error"
+        assert "bad cell" in outcome.error["message"]
+        assert outcome.error["attempts"] == 1
+
+    def test_exiting_cell_is_a_crash_after_every_retry(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "run_spec", _crashing)
+        outcome = cell_outcome(make_spec(), retries=2)
+        assert outcome.error["kind"] == "crash"
+        assert outcome.error["attempts"] == 3
+
+    def test_hanging_cell_times_out(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "run_spec", _hanging)
+        outcome = cell_outcome(make_spec(), timeout_s=0.5, retries=0)
+        assert outcome.error["kind"] == "timeout"
+        assert outcome.error["attempts"] == 1
+
+    def test_result_comes_back(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "run_spec", fake_stats)
+        spec = make_spec()
+        outcome = cell_outcome(spec)
+        assert outcome.error is None
+        assert outcome.spec_hash == spec.spec_hash()
+        assert outcome.stats.to_dict() == fake_stats(spec).to_dict()
 
 
 class TestEvents:
