@@ -11,8 +11,6 @@ invalidation messages to the network between the writer and each sharer.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class Directory:
     """line address -> set of CPU ids whose L1 holds the line."""
@@ -20,7 +18,6 @@ class Directory:
     def __init__(self, num_cpus: int):
         self.num_cpus = num_cpus
         self._sharers: dict[int, set[int]] = {}
-        self.invalidations_sent = 0
 
     def sharers_of(self, line_address: int) -> frozenset[int]:
         return frozenset(self._sharers.get(line_address, ()))
@@ -48,7 +45,6 @@ class Directory:
             return []
         targets = sorted(cpu for cpu in sharers if cpu != writer)
         if targets:
-            self.invalidations_sent += len(targets)
             kept = {writer} if writer in sharers else set()
             if kept:
                 self._sharers[line_address] = kept
@@ -58,13 +54,7 @@ class Directory:
 
     def invalidate_line(self, line_address: int) -> list[int]:
         """Invalidate every sharer (L2 eviction of the line)."""
-        sharers = self._sharers.pop(line_address, set())
-        targets = sorted(sharers)
-        self.invalidations_sent += len(targets)
-        return targets
+        return sorted(self._sharers.pop(line_address, ()))
 
     def tracked_lines(self) -> int:
         return len(self._sharers)
-
-    def total_sharers(self) -> int:
-        return sum(len(s) for s in self._sharers.values())

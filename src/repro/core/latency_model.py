@@ -22,12 +22,15 @@ The q-constants are calibrated against the cycle-accurate simulator
 (``tests/integration/test_model_calibration.py``).
 
 Every figure is priced through :meth:`LatencyModel.packet_latency` and
-:meth:`LatencyModel.note_packet`, millions of times per cell, so both
-look a packet's path up once in a ``(src, dest)`` memo and age the load
-estimates only when the cycle has advanced.  ``packet_latency`` with
-``record`` adds the packet's load itself, with the float operations of
-``note_packet`` in the same order, so no simulated number depends on
-which of the two recorded it.
+:meth:`LatencyModel.note_packet`, one packet at a time, and through
+:meth:`LatencyModel.query_round` and :meth:`LatencyModel.multicast`, one
+search round at a time.  All four look a packet's path up in a
+``(src, dest)`` memo and age the load estimates only when the cycle has
+advanced.  ``packet_latency`` with ``record`` adds the packet's load
+itself, and the two round kernels price and record each packet, with
+the float operations of ``packet_latency`` and ``note_packet`` in the
+same order, so no simulated number depends on which of them priced or
+recorded it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,14 @@ if TYPE_CHECKING:
 
 #: A packet's path: (mesh hops, pillar crossed or None).
 Path = tuple[int, Optional[tuple[int, int]]]
+
+#: One packet of a compiled search round: (mesh hops, pillar or None,
+#: flit-hops, flit_hops * 0.693 / window, flits * 0.693 / window).
+Route = tuple[int, Optional[tuple[int, int]], int, float, float]
+
+#: A search round's (query, reply) routes, one pair per target that is
+#: not the requester itself, in target order.
+RoundTable = tuple[tuple[Route, Route], ...]
 
 
 @dataclass
@@ -85,6 +96,9 @@ class LatencyModel:
         # rebuilds the alive tuple and clears the memo (no fault state =
         # fault-free).
         self._paths: dict[tuple[Coord, Coord], Path] = {}
+        # (src, targets, flits) -> RoundTable, compiled from the path
+        # memo by _compile_round() and cleared with it.
+        self._rounds: dict[tuple[Coord, tuple[Coord, ...], int], RoundTable] = {}
         self._faults: Optional["FaultState"] = None
         self._alive_pillars = tuple(topology.pillar_xys)
 
@@ -95,12 +109,13 @@ class LatencyModel:
         state.add_listener(self._on_fault_change)
 
     def _on_fault_change(self, *__) -> None:
-        """Re-derive the alive pillars and forget every memoized path."""
+        """Re-derive the alive pillars; forget every path and round table."""
         dead = self._faults.dead_pillars
         self._alive_pillars = tuple(
             xy for xy in self.topology.pillar_xys if xy not in dead
         )
         self._paths.clear()
+        self._rounds.clear()
 
     # -- geometry -------------------------------------------------------------
 
@@ -126,6 +141,32 @@ class LatencyModel:
             found = (hops, pillar)
         self._paths[src, dest] = found
         return found
+
+    def _compile_round(
+        self, src: Coord, targets: tuple[Coord, ...], flits: int
+    ) -> RoundTable:
+        """Compile and store the routes of a round of tag queries.
+
+        The kernels read the table under ``(src, targets, flits)`` until
+        the next fault change.  A target equal to ``src`` gets no entry.
+        The paths come from the path memo, so with every pillar dead a
+        cross-layer target raises ``ValueError`` and nothing is stored.
+        """
+        paths = self._paths
+        window = self.config.load_window
+        bus_load = flits * 0.693 / window
+
+        def route(a: Coord, b: Coord) -> Route:
+            hops, pillar = paths.get((a, b)) or self.path(a, b)
+            flit_hops = hops * flits
+            return hops, pillar, flit_hops, flit_hops * 0.693 / window, bus_load
+
+        table = self._rounds[src, targets, flits] = tuple(
+            (route(src, target), route(target, src))
+            for target in targets
+            if target != src
+        )
+        return table
 
     # -- load tracking ----------------------------------------------------------
 
@@ -208,6 +249,113 @@ class LatencyModel:
                 self._bus_rate[pillar] += size_flits * 0.693 / window
                 self.bus_flits_total += size_flits
         return latency
+
+    # -- search rounds ----------------------------------------------------------
+
+    def query_round(
+        self,
+        src: Coord,
+        targets: tuple[Coord, ...],
+        flits: int,
+        tag: int,
+        cycle: float,
+    ) -> float:
+        """The slowest ``out + tag + back`` of a round of tag queries.
+
+        Prices and records each target's query and then its reply, one
+        after another, exactly as :meth:`packet_latency` would; at least
+        ``tag``, the requester's own tag probe.  A target equal to
+        ``src`` costs nothing, and a round with no other target leaves
+        the load untouched.
+        """
+        table = self._rounds.get((src, targets, flits))
+        if table is None:
+            table = self._compile_round(src, targets, flits)
+        worst = probe = float(tag)
+        if not table:
+            return worst
+        if cycle > self._last_cycle:
+            self._decay_to(cycle)
+        cfg = self.config
+        ceiling = cfg.max_utilization
+        capacity = self._num_nodes * cfg.mesh_capacity_factor
+        injection = cfg.injection_overhead
+        hop_cycles = cfg.hop_cycles
+        q_mesh = cfg.q_mesh
+        q_bus = cfg.q_bus
+        bus_overhead = cfg.bus_overhead
+        serialization = float(flits - 1)
+        bus_rate = self._bus_rate
+        mesh_rate = self._mesh_rate
+        flit_hops_total = self.flit_hops_total
+        bus_flits_total = self.bus_flits_total
+        for pair in table:
+            # probe + out == out + probe, so the sum rounds as
+            # out + tag + back does.
+            total = probe
+            for hops, pillar, flit_hops, mesh_load, bus_load in pair:
+                rho = mesh_rate / capacity if capacity else 0.0
+                if rho > ceiling:
+                    rho = ceiling
+                latency = injection + hops * (hop_cycles
+                                              + q_mesh * rho / (1.0 - rho))
+                if pillar is None:
+                    latency += serialization
+                else:
+                    rate = bus_rate[pillar]
+                    rho_b = ceiling if rate > ceiling else rate
+                    latency += bus_overhead
+                    latency += q_bus * rho_b / (1.0 - rho_b)
+                    latency += serialization / (1.0 - rho_b)
+                    bus_rate[pillar] = rate + bus_load
+                    bus_flits_total += flits
+                mesh_rate += mesh_load
+                flit_hops_total += flit_hops
+                total += latency
+            if total > worst:
+                worst = total
+        self._mesh_rate = mesh_rate
+        self.flit_hops_total = flit_hops_total
+        self.bus_flits_total = bus_flits_total
+        return worst
+
+    def multicast(
+        self,
+        src: Coord,
+        targets: tuple[Coord, ...],
+        answer: Coord,
+        flits: int,
+        cycle: float,
+    ) -> float:
+        """Record a query to every target, then time the one to ``answer``.
+
+        Each query is recorded exactly as :meth:`note_packet` would
+        record it, so the answer, priced by :meth:`packet_latency`
+        without recording, sees their load.  Any target, even ``src``,
+        ages the load; an ``answer`` equal to ``src`` costs nothing.
+        """
+        table = self._rounds.get((src, targets, flits))
+        if table is None:
+            table = self._compile_round(src, targets, flits)
+        if targets and cycle > self._last_cycle:
+            self._decay_to(cycle)
+        if table:
+            bus_rate = self._bus_rate
+            mesh_rate = self._mesh_rate
+            flit_hops_total = self.flit_hops_total
+            bus_flits_total = self.bus_flits_total
+            for (__, pillar, flit_hops, mesh_load, bus_load), __ in table:
+                mesh_rate += mesh_load
+                flit_hops_total += flit_hops
+                if pillar is not None:
+                    bus_rate[pillar] += bus_load
+                    bus_flits_total += flits
+            self._mesh_rate = mesh_rate
+            self.flit_hops_total = flit_hops_total
+            self.bus_flits_total = bus_flits_total
+        if answer == src:
+            return 0.0
+        return self.packet_latency(src, answer, flits, cycle, record=False)
 
     def zero_load_latency(self, src: Coord, dest: Coord, size_flits: int) -> float:
         """Latency ignoring all contention (for tests and sanity checks)."""

@@ -67,11 +67,11 @@ class Medium(Protocol):
              cls: MessageClass) -> None:
         """Load the network with a background packet."""
 
-    def multicast(self, src: Coord, targets: list[Coord], answer: Coord,
+    def multicast(self, src: Coord, targets: tuple[Coord, ...], answer: Coord,
                   cycle: float) -> float:
         """Query every target; the one to ``answer`` is timed like a leg."""
 
-    def query_round(self, src: Coord, targets: list[Coord],
+    def query_round(self, src: Coord, targets: tuple[Coord, ...],
                     cycle: float) -> float:
         """Query every target; the slowest round trip, or one tag probe."""
 
@@ -93,24 +93,14 @@ class ModelMedium:
 
     def multicast(self, src, targets, answer, cycle) -> float:
         """Every query is recorded first, so the answer's sees their load."""
-        model = self.model
-        flits = self.cfg.request_flits
-        for target in targets:
-            model.note_packet(src, target, flits, cycle)
-        if answer == src:
-            return 0.0
-        return model.packet_latency(src, answer, flits, cycle, record=False)
+        return self.model.multicast(
+            src, targets, answer, self.cfg.request_flits, cycle
+        )
 
     def query_round(self, src, targets, cycle) -> float:
-        model = self.model
-        flits = self.cfg.request_flits
-        tag = self.cfg.tag_latency
-        worst = float(tag)  # the direct local tag probe
-        for target in targets:
-            out = model.packet_latency(src, target, flits, cycle)
-            back = model.packet_latency(target, src, flits, cycle)
-            worst = max(worst, out + tag + back)
-        return worst
+        return self.model.query_round(
+            src, targets, self.cfg.request_flits, self.cfg.tag_latency, cycle
+        )
 
 
 class TransactionPricer:
@@ -125,18 +115,23 @@ class TransactionPricer:
         self.perfect_search = system.setup.perfect_search
         self._search = system.l2.search
         # Search plans never change: cache each CPU's local cluster and
-        # its step-1 (local excluded) and step-2 query targets.
-        self._plans: dict[int, tuple[int, list[Coord], list[Coord]]] = {}
+        # its step-1 (local excluded) and step-2 query targets, as tuples
+        # so that the model can key its round tables by them.
+        self._plans: dict[
+            int, tuple[int, tuple[Coord, ...], tuple[Coord, ...]]
+        ] = {}
 
-    def _plan(self, cpu_id: int) -> tuple[int, list[Coord], list[Coord]]:
+    def _plan(
+        self, cpu_id: int
+    ) -> tuple[int, tuple[Coord, ...], tuple[Coord, ...]]:
         found = self._plans.get(cpu_id)
         if found is None:
             plan = self._search.plan(cpu_id)
             tags = [cluster.tag_node for cluster in self.clusters]
             found = self._plans[cpu_id] = (
                 plan.local_cluster,
-                [tags[c] for c in plan.step1 if c != plan.local_cluster],
-                [tags[c] for c in plan.step2],
+                tuple(tags[c] for c in plan.step1 if c != plan.local_cluster),
+                tuple(tags[c] for c in plan.step2),
             )
         return found
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
-from repro.core.latency_model import LatencyModel, LatencyModelConfig
+from repro.core.latency_model import LatencyModel
 from repro.faults.state import FaultState
 from repro.noc.routing import Coord, best_pillar
 
@@ -166,6 +166,156 @@ class TestRecordFusion:
         for record in (True, False):
             assert model3d.packet_latency(src, dest, 4, record=record) > 0.0
         assert load_state(model3d) == before
+
+
+def reference_query_round(model, src, targets, flits, tag, cycle):
+    """The per-packet loop that ``LatencyModel.query_round`` replaced."""
+    worst = float(tag)
+    for target in targets:
+        out = model.packet_latency(src, target, flits, cycle)
+        back = model.packet_latency(target, src, flits, cycle)
+        worst = max(worst, out + tag + back)
+    return worst
+
+
+def reference_multicast(model, src, targets, answer, flits, cycle):
+    """The per-packet loop that ``LatencyModel.multicast`` replaced."""
+    for target in targets:
+        model.note_packet(src, target, flits, cycle)
+    if answer == src:
+        return 0.0
+    return model.packet_latency(src, answer, flits, cycle, record=False)
+
+
+def every_node(model):
+    """Every node on every layer of the model's chip."""
+    width, height = model.topology.config.mesh_dims
+    return [
+        Coord(x, y, z)
+        for z in range(model.topology.config.num_layers)
+        for y in range(height)
+        for x in range(width)
+    ]
+
+
+class TestRoundKernels:
+    """The round kernels against the per-packet loops they replaced.
+
+    Two models see the same calls, one through the kernels and one
+    through the reference loops, with legs and sends in between, and
+    must agree float for float after every call.
+    """
+
+    TAG = 3
+
+    @staticmethod
+    def random_round(rng, nodes):
+        """A source and targets that may repeat or include the source."""
+        src = rng.choice(nodes)
+        pool = rng.sample(nodes, 4) + [src]
+        shape = rng.random()
+        if shape < 0.1:
+            return src, ()
+        if shape < 0.2:
+            return src, (src,) * rng.randint(1, 2)
+        return src, tuple(rng.choice(pool) for __ in range(rng.randint(1, 8)))
+
+    @pytest.mark.parametrize(
+        "chip",
+        [
+            ChipConfig(num_layers=1, num_pillars=0),
+            ChipConfig(),
+            ChipConfig(num_layers=4, num_pillars=2),
+        ],
+        ids=["2D", "2L-8p", "4L-2p"],
+    )
+    def test_kernels_match_per_packet_loops(self, chip):
+        topology = build_topology(chip)
+        kernel, reference = LatencyModel(topology), LatencyModel(topology)
+        state = FaultState()
+        kernel.attach_fault_state(state)
+        reference.attach_fault_state(state)
+        rng = random.Random(2006)
+        nodes = rng.sample(every_node(kernel), 24)
+        # Rounds come back, as a CPU's search plan does, so tables are
+        # reused; the all-source and empty rounds are always among them.
+        plans = [self.random_round(rng, nodes) for __ in range(10)]
+        plans += [(nodes[0], ()), (nodes[1], (nodes[1],))]
+        # Kill the pillar of a planned query, so a table kept across the
+        # fault change would route through a dead pillar.
+        crossing = [
+            (src, target) for src, targets in plans for target in targets
+            if src.z != target.z
+        ]
+        assert bool(crossing) == (chip.num_layers > 1)
+        victim = kernel.path(*crossing[0])[1] if crossing else None
+        steps = 3000
+        cycle = 100.0
+        kinds = set()
+        for step in range(steps):
+            if victim and step == steps // 3:
+                state.fail_pillar(victim)
+            if victim and step == 2 * steps // 3:
+                state.heal_pillar(victim)
+            # Mostly repeated cycles, some advancing, a few going back.
+            cycle += rng.choice((0.0, 0.0, 0.0, 0.5, 3.0, 40.0, -2.0))
+            flits = rng.choice((1, 4))
+            if rng.random() < 0.7:
+                src, targets = rng.choice(plans)
+            else:
+                src, targets = self.random_round(rng, nodes)
+            kind = rng.choice(("round", "multicast", "leg", "send"))
+            kinds.add(kind)
+            if kind == "round":
+                got = kernel.query_round(src, targets, flits, self.TAG, cycle)
+                want = reference_query_round(
+                    reference, src, targets, flits, self.TAG, cycle
+                )
+            elif kind == "multicast":
+                answer = rng.choice((src, rng.choice(nodes), *targets))
+                got = kernel.multicast(src, targets, answer, flits, cycle)
+                want = reference_multicast(
+                    reference, src, targets, answer, flits, cycle
+                )
+            elif kind == "leg":
+                dest = rng.choice(nodes)
+                got = kernel.packet_latency(src, dest, flits, cycle)
+                want = reference.packet_latency(src, dest, flits, cycle)
+            else:
+                dest = rng.choice(nodes)
+                got = kernel.note_packet(src, dest, flits, cycle)
+                want = reference.note_packet(src, dest, flits, cycle)
+            assert got == want, (step, kind)
+            assert load_state(kernel) == load_state(reference), (step, kind)
+        assert kinds == {"round", "multicast", "leg", "send"}
+        assert reference.flit_hops_total > 0
+
+    def test_every_pillar_dead_raises_and_stores_no_table(self, model3d):
+        state = FaultState()
+        model3d.attach_fault_state(state)
+        reference = LatencyModel(model3d.topology)
+        reference.attach_fault_state(state)
+        src, same = Coord(1, 1, 0), (Coord(6, 3, 0), Coord(2, 7, 0))
+        cross = (Coord(6, 3, 1),) + same
+        # Compiled while the pillars live.
+        model3d.query_round(src, cross, 1, self.TAG, 1.0)
+        reference_query_round(reference, src, cross, 1, self.TAG, 1.0)
+        for xy in model3d.topology.pillar_xys:
+            state.fail_pillar(xy)
+        with pytest.raises(ValueError):
+            model3d.query_round(src, cross, 1, self.TAG, 2.0)
+        with pytest.raises(ValueError):
+            model3d.multicast(src, cross, cross[0], 1, 2.0)
+        assert model3d._rounds == {}
+        # In-layer rounds still price, as the per-packet loop does.
+        for cycle in (3.0, 4.0):
+            assert model3d.query_round(
+                src, same, 4, self.TAG, cycle
+            ) == reference_query_round(reference, src, same, 4, self.TAG, cycle)
+            assert model3d.multicast(
+                src, same, same[1], 4, cycle
+            ) == reference_multicast(reference, src, same, same[1], 4, cycle)
+            assert load_state(model3d) == load_state(reference)
 
 
 class TestZeroLoad:
