@@ -74,14 +74,3 @@ class SearchPolicy:
             track = tracer.track(f"cpu.{cpu_id}")
             tracer.search_plan(0.0, track, cpu_id, len(plan.step1), len(plan.step2))
         return plan
-
-    def clusters_probed(self, cpu_id: int, found_step: int) -> int:
-        """How many tag arrays were activated to resolve an access.
-
-        Used for the L2 dynamic-power accounting: a step-1 hit probes only
-        the step-1 set; a step-2 hit (or L2 miss) probes every cluster.
-        """
-        plan = self.plan(cpu_id)
-        if found_step == 1:
-            return len(plan.step1)
-        return len(plan.step1) + len(plan.step2)

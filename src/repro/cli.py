@@ -142,11 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
              "unless --mode is given explicitly)",
     )
     run.add_argument(
-        "--fabric", choices=("optimized", "reference", "vector", "auto"),
+        "--fabric", choices=("optimized", "vector", "auto"),
         default="optimized",
         help="NoC fabric for cycle mode: optimized (object hot path), "
-             "reference (naive oracle), vector (numpy batch fabric), "
-             "auto (vector when numpy is importable and the run is "
+             "vector (numpy batch fabric), auto (vector when the run is "
              "cycle-mode, else optimized)",
     )
     run.add_argument(
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="timing fidelity for every cell (default: model)",
     )
     sweep.add_argument(
-        "--fabric", choices=("optimized", "reference", "vector", "auto"),
+        "--fabric", choices=("optimized", "vector", "auto"),
         default="optimized",
         help="NoC fabric for cycle-mode cells (default: optimized)",
     )

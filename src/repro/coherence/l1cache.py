@@ -2,7 +2,10 @@
 
 Table 4: 64 KB split I/D, 2-way, 64 B lines, 3-cycle access, write-through.
 Write-through means an L1 line is never dirty: evictions and invalidations
-are silent drops, and every store is propagated to the L2.
+are silent drops, and every store is propagated to the L2.  Store misses
+allocate the line.  The array is functional only: an L1 hit retires in the
+core's base CPI (``SystemConfig.cpi_base``), so the 3-cycle access time is
+not a parameter here.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ class L1Config:
     size_kb: int = 64
     ways: int = 2
     line_bytes: int = 64
-    hit_cycles: int = 3
-    write_allocate: bool = True    # write-through + write-allocate
 
     @property
     def num_sets(self) -> int:

@@ -121,7 +121,7 @@ class CoherentL1System:
                 target_buffer = self._write_buffers[target]
                 if line in target_buffer:
                     target_buffer.remove(line)
-            if not hit and self.config.write_allocate:
+            if not hit:
                 evicted = cache.fill(address)
                 self.directory.add_sharer(line, cpu_id)
                 if evicted is not None:

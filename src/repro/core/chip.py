@@ -145,10 +145,6 @@ class Cluster:
         tw, th = self.tile
         return Coord(ox + tw // 2, oy + th // 2, self.layer)
 
-    @property
-    def has_cpu(self) -> bool:
-        return bool(self.cpus)
-
     def contains(self, coord: Coord) -> bool:
         ox, oy = self.origin
         tw, th = self.tile

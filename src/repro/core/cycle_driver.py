@@ -47,14 +47,11 @@ class CycleMedium:
             pillar_locations=tuple(system.topology.pillar_xys),
             packet_flits=system.config.data_flits,
         )
-        if system.config.noc_sparse_threshold is not None:
-            network_config.sparse_threshold = system.config.noc_sparse_threshold
+        # One transaction leg in flight at a time leaves most of the
+        # fabric quiescent, which is exactly where the network's own
+        # activity-tracked engine fast-forwards idle windows.
         self.network = Network(
             network_config,
-            # One transaction leg in flight at a time leaves most of the
-            # fabric quiescent, which is exactly where the activity-tracked
-            # kernel's idle fast-forward pays off.
-            activity_tracking=system.config.activity_tracking,
             fabric=system.config.noc_fabric,
             tracer=system.tracer,
         )

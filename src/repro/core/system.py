@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.noc.fabric import AUTO_FABRIC, FabricKind, resolve_fabric
+from repro.noc.fabric import FabricKind
 from repro.noc.routing import Coord
 from repro.core.chip import ChipTopology
 from repro.core.placement import PlacementPolicy, build_topology
@@ -59,18 +59,13 @@ class SystemConfig:
     request_flits: int = 1         # tag query / request header
     data_flits: int = 4            # 64B line = 4 x 128-bit flits
     cpi_base: float = 1.0
-    # Kernel selection for mode="cycle": the activity-tracked kernel skips
-    # quiescent fabric components and fast-forwards idle windows between
-    # transaction legs; False falls back to the naive tick-everything
-    # kernel (bit-identical results, much slower).
-    activity_tracking: bool = True
     # Fabric implementation for mode="cycle": OPTIMIZED is the
     # allocation-free hot path, REFERENCE the frozen naive fabric it is
     # differentially verified against (bit-identical, much slower), and
     # VECTOR the numpy batch fabric (distribution-level equivalent).
     # Strings ("optimized"/"reference"/"vector") are accepted and
-    # normalised to the enum by validate(); "auto" resolves to vector in
-    # cycle mode when numpy imports, optimized otherwise.
+    # normalised to the enum by validate(); SimSpec resolves "auto"
+    # before it builds a config.
     noc_fabric: "FabricKind | str" = FabricKind.OPTIMIZED
     # Structured event tracing: None (default) means probe sites see the
     # NullTracer and the hot path stays allocation-free.
@@ -95,24 +90,14 @@ class SystemConfig:
     # ``fault_seed`` (the SimSpec seed when driven by a spec).
     faults: Optional["FaultSpec"] = None
     fault_seed: int = 2006
-    # FabricKind.VECTOR only: occupancy at or below which the vector
-    # fabric runs its scalar per-flit path.  None keeps the
-    # NetworkConfig default (the benchmarked crossover).
-    noc_sparse_threshold: Optional[int] = None
 
     def validate(self) -> None:
         if self.mode not in ("model", "cycle"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        # "auto" resolves to a concrete fabric before the one validator
-        # normalises it, so downstream consumers only ever see real kinds.
-        if self.noc_fabric == AUTO_FABRIC:
-            self.noc_fabric = resolve_fabric(self.mode)[0]
         # Normalise the CLI/spec boundary string through the one validator.
         self.noc_fabric = FabricKind.parse(self.noc_fabric)
         if self.tag_latency < 1 or self.bank_latency < 1:
             raise ValueError("array latencies must be positive")
-        if self.noc_sparse_threshold is not None and self.noc_sparse_threshold < 0:
-            raise ValueError("noc_sparse_threshold must be non-negative")
 
 
 @dataclass(slots=True)

@@ -27,6 +27,15 @@ class ExperimentScale:
     warmup_fraction: float = 0.6   # of total events, across all CPUs
     seed: int = 2006
 
+    def __post_init__(self) -> None:
+        # At 1 or above the whole trace is warm-up and nothing is
+        # measured; below 0 the warm-up count goes negative.
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ValueError(
+                "warmup_fraction must be in [0, 1), got "
+                f"{self.warmup_fraction!r}"
+            )
+
     def warmup_events_for(self, num_cpus: int) -> int:
         """Warm-up event count for a topology with ``num_cpus`` CPUs.
 

@@ -67,13 +67,9 @@ class SimSpec:
     # structure-of-arrays batch fabric; distribution-level equivalent,
     # fastest at every load since its occupancy-adaptive advance).
     # "auto" is accepted and resolved to a concrete name at construction
-    # (vector for cycle-mode with numpy, optimized otherwise), so spec
-    # hashes only ever cover concrete fabrics.  Ignored by mode="model".
+    # (vector in cycle mode, optimized in model mode), so spec hashes
+    # only ever cover concrete fabrics.  Ignored by mode="model".
     fabric: str = "optimized"
-    # FabricKind.VECTOR only: occupancy at or below which the fabric
-    # runs its scalar per-flit path.  None (default) keeps the
-    # NetworkConfig default and leaves pre-existing spec hashes intact.
-    sparse_threshold: Optional[int] = None
     # Per-cell tracing opt-in: a TraceSpec makes simulate() attach a
     # RingTracer to the system, so a single sweep cell can be traced
     # reproducibly.  None (default) keeps the NullTracer.
@@ -127,8 +123,6 @@ class SimSpec:
             data["mode"] = self.mode
         if self.fabric != "optimized":
             data["fabric"] = self.fabric
-        if self.sparse_threshold is not None:
-            data["sparse_threshold"] = self.sparse_threshold
         if self.trace is not None:
             data["trace"] = self.trace.to_dict()
         if self.faults is not None:
@@ -154,7 +148,6 @@ class SimSpec:
             fixed_floorplan=data["fixed_floorplan"],
             mode=data.get("mode", "model"),
             fabric=data.get("fabric", "optimized"),
-            sparse_threshold=data.get("sparse_threshold"),
             trace=(
                 TraceSpec.from_dict(data["trace"])
                 if data.get("trace") is not None
@@ -229,7 +222,6 @@ def build_system_config(spec: SimSpec) -> SystemConfig:
         num_cpus=spec.num_cpus,
         mode=spec.mode,
         noc_fabric=spec.fabric,
-        noc_sparse_threshold=spec.sparse_threshold,
         faults=spec.faults,
         fault_seed=spec.seed,
     )

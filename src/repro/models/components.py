@@ -21,14 +21,6 @@ class ComponentSpec:
     area_mm2: float
     per: str    # what one instance serves
 
-    @property
-    def power_mw(self) -> float:
-        return self.power_w * 1e3
-
-    @property
-    def area_um2(self) -> float:
-        return self.area_mm2 * 1e6
-
 
 NOC_ROUTER_5PORT = ComponentSpec(
     name="Generic NoC Router (5-port)",

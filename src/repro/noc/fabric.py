@@ -45,9 +45,6 @@ class FabricKind(enum.Enum):
         raise ValueError(f"unknown fabric {value!r}; choose from {choices}")
 
 
-# Valid fabric names, for help strings and backwards compatibility.
-FABRIC_NAMES = tuple(kind.value for kind in FabricKind)
-
 #: CLI/spec sentinel resolved by :func:`resolve_fabric` before it ever
 #: reaches ``FabricKind.parse`` (and therefore before serialization, so
 #: spec hashes only ever name concrete fabrics).
@@ -57,11 +54,10 @@ AUTO_FABRIC = "auto"
 def resolve_fabric(mode: str) -> tuple[str, str]:
     """Resolve the ``"auto"`` fabric selector to a concrete name.
 
-    Returns ``(fabric_name, reason)``.  Vector is the universal default
-    for cycle-mode whenever numpy imports — its occupancy-adaptive
-    advance matches the object fabrics at sparse load and wins ≥10x at
-    saturation — while model-mode specs and numpy-less environments fall
-    back to the optimized object fabric.
+    Returns ``(fabric_name, reason)``.  Vector is the cycle-mode
+    default — its occupancy-adaptive advance matches the object fabrics
+    at sparse load and wins ≥10x at saturation — while model-mode specs
+    record the optimized object fabric.
     """
     if mode != "cycle":
         return (
@@ -69,14 +65,7 @@ def resolve_fabric(mode: str) -> tuple[str, str]:
             f"mode={mode!r} is not cycle-accurate; "
             "recording the optimized default",
         )
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return (
-            FabricKind.OPTIMIZED.value,
-            "numpy unavailable; the vector fabric requires it",
-        )
     return (
         FabricKind.VECTOR.value,
-        "cycle mode with numpy available",
+        "cycle mode defaults to the vector fabric",
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TYPE_CHECKING
+from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
@@ -44,21 +44,11 @@ class NetworkConfig:
     # whose traversal is folded into the dTDMA bus slot.  This asymmetry
     # is the physical basis of the 3D advantage.
     link_latency: int = 2
-    flit_bits: int = 128     # link width
     packet_flits: int = 4    # flits per cache-line packet (64 B line)
-    # FabricKind.VECTOR only: occupancy (occupied input VCs, or active
-    # NICs) at or below which the fabric's mesh/NIC phases run the
-    # scalar per-flit path instead of batched numpy arbitration.  The
-    # two paths produce identical results; the default is the measured
-    # crossover from BENCH_noc.json's sparse operating point.  0 forces
-    # the batched path everywhere.  Object fabrics ignore it.
-    sparse_threshold: int = 24
 
     def validate(self) -> None:
         if self.width < 1 or self.height < 1 or self.layers < 1:
             raise ValueError("network dimensions must be positive")
-        if self.sparse_threshold < 0:
-            raise ValueError("sparse_threshold must be non-negative")
         if self.layers > 1 and not self.pillar_locations:
             raise ValueError("multi-layer networks require pillars")
         for x, y in self.pillar_locations:
@@ -107,7 +97,6 @@ class Network:
         config: NetworkConfig,
         engine: Optional[Engine] = None,
         stats: Optional[StatsRegistry] = None,
-        activity_tracking: bool = True,
         fabric: "FabricKind | str" = FabricKind.OPTIMIZED,
         tracer: Optional[Tracer] = None,
     ):
@@ -115,14 +104,13 @@ class Network:
         self.config = config
         self.fabric = FabricKind.parse(fabric)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # ``activity_tracking`` selects the kernel for a self-owned engine
-        # (ignored when an engine is supplied): the activity-tracked kernel
-        # skips quiescent routers/NICs/pillars and produces bit-identical
-        # results to the naive one.  ``fabric`` selects between the
-        # allocation-free hot path ("optimized") and the frozen naive
-        # implementation ("reference") that the differential test compares
-        # it against; both produce bit-identical results.
-        self.engine = engine or Engine("network", activity_tracking=activity_tracking)
+        # A self-owned engine runs the activity-tracked kernel; pass an
+        # ``Engine(activity_tracking=False)`` to run the naive one.
+        # ``fabric`` selects between the allocation-free hot path
+        # ("optimized") and the frozen naive implementation ("reference")
+        # that the differential test compares it against; both produce
+        # bit-identical results.
+        self.engine = engine or Engine("network")
         self.stats = stats or StatsRegistry("network")
         # Per-network id scope: packet/flit id sequences restart at zero
         # for every Network, so back-to-back simulations in one process
@@ -134,7 +122,6 @@ class Network:
         self.routers: dict[Coord, Router] = {}
         self.nics: dict[Coord, NetworkInterface] = {}
         self.pillars: dict[tuple[int, int], "PillarBus"] = {}
-        self._packet_callbacks: list[Callable[[Packet], None]] = []
         self._in_flight = 0
         # Monotonic count of packets that finished (delivered or lost);
         # the liveness watchdog's primary progress signal.
@@ -163,7 +150,7 @@ class Network:
             self._build_optimized()
 
     def _build_vector(self) -> None:
-        from repro.noc.vector import VectorFabric  # local: needs numpy
+        from repro.noc.vector import VectorFabric  # local: vector only
 
         if self.tracer.enabled:
             raise ValueError(
@@ -373,15 +360,10 @@ class Network:
 
     # -- traffic -------------------------------------------------------------
 
-    def add_packet_callback(self, callback: Callable[[Packet], None]) -> None:
-        self._packet_callbacks.append(callback)
-
     def _on_packet(self, packet: Packet) -> None:
         self._in_flight -= 1
         self._completed += 1
         self._retire_age(packet)
-        for callback in self._packet_callbacks:
-            callback(packet)
 
     def _retire_age(self, packet: Packet) -> None:
         if self._vector is not None:
@@ -470,12 +452,10 @@ class Network:
 
         ``src_index``/``dest_index`` are parallel integer arrays of flat
         node indexes (the :meth:`coords` order) with ``src != dest``
-        elementwise.  Only the vector fabric supports it, and only while
-        no packet callbacks are registered (callbacks receive ``Packet``
-        objects, which this path never creates) — callers fall back to
-        scalar :meth:`send` on ``None``.
+        elementwise.  Only the vector fabric supports it; callers fall
+        back to scalar :meth:`send` on ``None``.
         """
-        if self._vector is None or self._packet_callbacks:
+        if self._vector is None:
             return None
         count = self._vector.inject_batch(
             src_index, dest_index, size_flits or self.config.packet_flits
@@ -484,7 +464,7 @@ class Network:
         return count
 
     def _on_packet_light(self) -> None:
-        """Delivery of a batch-injected packet (no object, no callbacks)."""
+        """Delivery of a batch-injected packet (no ``Packet`` object)."""
         self._in_flight -= 1
         self._completed += 1
 

@@ -183,17 +183,9 @@ def compute_route_table(width: int, height: int):
     calling :func:`dimension_order_route` per flit; callers steering a
     cross-layer packet pass the pillar's flat index as ``tgt`` and remap
     a ``LOCAL`` result (at the pillar) to ``VERTICAL`` themselves.
-
-    numpy is imported lazily so this module stays importable without it;
-    the error message mirrors the vector fabric's.
     """
-    try:
-        import numpy as np
-    except ImportError as exc:  # pragma: no cover - numpy is a core dep
-        raise ImportError(
-            "compute_route_table requires numpy (used by the vector "
-            "fabric); install numpy or the 'vector' extra"
-        ) from exc
+    import numpy as np
+
     nodes = width * height
     flat = np.arange(nodes)
     cur_x, cur_y = (flat % width)[:, None], (flat // width)[:, None]
@@ -211,17 +203,14 @@ def best_pillar(
     src: Coord,
     dest: Coord,
     pillars: list[tuple[int, int]],
-    dead: "frozenset[tuple[int, int]] | set[tuple[int, int]]" = frozenset(),
 ) -> tuple[int, int]:
     """Pillar minimizing total path length for an inter-layer route.
 
     Ties break toward the pillar closest to the source, then by coordinate
-    so the choice is deterministic.  Pillars in ``dead`` (the live fault
-    map) are excluded; if no pillar survives, ``ValueError`` is raised and
-    the caller must take the unreachable-destination accounting path.
+    so the choice is deterministic.  Callers under faults pass only the
+    surviving pillars; an empty list raises ``ValueError`` and the caller
+    must take the unreachable-destination accounting path.
     """
-    if dead:
-        pillars = [pillar for pillar in pillars if pillar not in dead]
     if not pillars:
         raise ValueError("no pillars available for inter-layer routing")
 

@@ -10,8 +10,8 @@ of bulk array operations per cycle (the batch-simulation approach of
 Per-cycle cost scales with *occupancy*, not mesh size: an incremental
 occupied-lane set (maintained on deposit, pruned lazily) feeds the mesh
 step only the live (router, port, vc) indices, and at or below
-``NetworkConfig.sparse_threshold`` occupied lanes the whole step drops
-to a scalar per-flit path with identical outcomes.  A fully quiescent
+:data:`SPARSE_THRESHOLD` occupied lanes the whole step drops to a
+scalar per-flit path with identical outcomes.  A fully quiescent
 fabric reports idle, so the engine's active-set machinery fast-forwards
 vector cycles exactly as it does for the object fabrics.
 
@@ -40,13 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, TYPE_CHECKING
 
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - numpy is a core dependency
-    raise ImportError(
-        "FabricKind.VECTOR requires numpy; install numpy (or the 'vector' "
-        "extra: pip install 'repro[vector]') or pick fabric='optimized'"
-    ) from exc
+import numpy as np
 
 from repro.sim.engine import ClockedComponent, Engine
 from repro.sim.stats import StatsRegistry
@@ -71,6 +65,11 @@ _NUM_PORTS = len(PORT_INDEX)
 # so ejection is never the backpressure point in either fabric.
 _EJECT_CREDITS = 1_000_000
 _PRIO_MAX = 1 << 30
+#: Occupancy (occupied input VCs, or active NICs) at or below which the
+#: mesh and NIC phases take the scalar per-flit path instead of batched
+#: numpy arbitration.  Both paths produce identical results; 24 is the
+#: measured crossover at BENCH_noc.json's sparse operating point.
+SPARSE_THRESHOLD = 24
 
 
 class _VectorPillar:
@@ -245,7 +244,6 @@ class VectorFabric(ClockedComponent):
         # maintenance entirely and _compact_occupied rescans; membership
         # is rebuilt once on the dense->sparse transition.
         self._occ_dense = False
-        self._sparse_threshold = config.sparse_threshold
         # Switch/VC allocation held by the in-transit packet (the object
         # InputVC's route_port / out_vc), -1 when unallocated.  int64 so
         # the per-cycle gathers need no widening conversion.
@@ -694,11 +692,15 @@ class VectorFabric(ClockedComponent):
         return self._compact_occupied()
 
     def _mesh_step(self, cycle: int):
-        ports, vcs, depth = self._P, self._V, self._D
         cand = self._compact_occupied()
         self._occ_hist.add(cand.size)
-        if cand.size <= self._sparse_threshold:
+        if cand.size <= SPARSE_THRESHOLD:
             return self._mesh_step_sparse(cycle, cand)
+        return self._mesh_step_batched(cycle, cand)
+
+    def _mesh_step_batched(self, cycle: int, cand):
+        """Bulk numpy mesh step for occupancies above the threshold."""
+        ports, vcs, depth = self._P, self._V, self._D
         route = self._in_route[cand]
 
         # Route computation for fresh heads (the object router memoizes
@@ -1039,9 +1041,13 @@ class VectorFabric(ClockedComponent):
             self._nic_act = act
         if act.size == 0:
             return
-        if act.size <= self._sparse_threshold:
+        if act.size <= SPARSE_THRESHOLD:
             self._nic_step_sparse(cycle, act)
-            return
+        else:
+            self._nic_step_batched(cycle, act)
+
+    def _nic_step_batched(self, cycle: int, act) -> None:
+        """Bulk numpy NIC phases for more active routers than the threshold."""
         # Phase A: idle NICs with queued packets try to acquire an output
         # VC (first free in ascending order, the object free_vc()).
         acquire = act[(self._inj_pkt[act] < 0) & (self._queue_len[act] > 0)]

@@ -38,7 +38,7 @@ re-polled inside a fast-forwarded window.
 """
 
 from repro.sim.engine import ClockedComponent, Engine, Event
-from repro.sim.stats import Counter, Histogram, MovingAverage, StatsRegistry
+from repro.sim.stats import Counter, Histogram, StatsRegistry
 from repro.sim.rng import make_rng
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "Event",
     "Counter",
     "Histogram",
-    "MovingAverage",
     "StatsRegistry",
     "make_rng",
 ]

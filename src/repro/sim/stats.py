@@ -1,9 +1,8 @@
 """Statistics primitives shared by every subsystem.
 
 All simulator statistics flow through these classes so that experiment
-harnesses can dump a uniform report: counters for event counts, histograms
-for latency distributions, and exponential moving averages for load
-estimation inside the contention-aware latency model.
+harnesses can dump a uniform report: counters for event counts and
+histograms for latency distributions.
 """
 
 from __future__ import annotations
@@ -158,31 +157,6 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}: n={self.count}, mean={self.mean:.2f})"
-
-
-class MovingAverage:
-    """Exponential moving average used for online load estimation."""
-
-    __slots__ = ("alpha", "value", "initialized")
-
-    def __init__(self, alpha: float = 0.05):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.value = 0.0
-        self.initialized = False
-
-    def update(self, sample: float) -> float:
-        if not self.initialized:
-            self.value = sample
-            self.initialized = True
-        else:
-            self.value += self.alpha * (sample - self.value)
-        return self.value
-
-    def reset(self) -> None:
-        self.value = 0.0
-        self.initialized = False
 
 
 class StatsScope:

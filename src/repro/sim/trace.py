@@ -26,10 +26,12 @@ Export targets:
 * :func:`write_jsonl` — one JSON object per event for scripted analysis,
   preceded by a header line with track names and drop counts.
 
-Adding a new event type: pick the next :data:`EventKind` constant, list
-its field names in ``_FIELDS``, add a ``record_<kind>`` method to both
-tracers (no-op on :class:`NullTracer`), and teach ``_chrome_slice`` how
-to label it.  Probe sites must keep the guard-on-bool rule.
+Adding a new event type: pick the next event-kind constant, name it in
+``EVENT_NAMES``, list its field names in ``_FIELDS``, add a probe method
+named after the kind (``packet_hop``, ``bus_grant``, ...) to
+:class:`Tracer` as a no-op and to :class:`RingTracer` as a recorder, and
+teach ``_chrome_slice`` how to label it.  Probe sites must keep the
+guard-on-bool rule.
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ _FIELDS = {
 class Tracer:
     """Probe-site protocol; the base class doubles as the null tracer.
 
-    Every ``record_*`` method is a no-op here.  Probe sites must never
-    call them without first checking ``tracer.enabled`` — the guard, not
-    the no-op body, is what keeps the disabled path allocation-free.
+    Every probe method (``packet_inject``, ``packet_hop``, ``bus_grant``
+    and the rest, one per event kind) is a no-op here.  Probe sites must
+    never call them without first checking ``tracer.enabled`` — the
+    guard, not the no-op body, is what keeps the disabled path
+    allocation-free.
     ``track()`` is called off the hot path (component construction) and
     always safe.
     """

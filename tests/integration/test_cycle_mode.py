@@ -8,6 +8,12 @@ from repro.cache.nuca import AccessType
 from repro.core.schemes import Scheme
 from repro.core.system import NetworkInMemory, SystemConfig
 from repro.cpu.trace import OP_READ
+from tests.vector_paths import (
+    ALWAYS_BATCHED,
+    ALWAYS_SCALAR,
+    assert_pinned,
+    pin_crossover,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,22 +118,22 @@ def test_cycle_mode_vector_identical_across_sparse_thresholds():
     the sparse path serves.  Pinning the threshold to the extremes must
     leave every system-level statistic untouched.
     """
-    pytest.importorskip("numpy")
     traces = [
         [(2, OP_READ, 0x1000 + cpu * 0x40), (2, OP_READ, 0x9000 + cpu * 0x40)]
         for cpu in range(8)
     ]
     results = []
-    for threshold in (0, 10**9):
-        system = NetworkInMemory(
-            SystemConfig(
-                scheme=Scheme.CMP_DNUCA_3D,
-                mode="cycle",
-                noc_fabric="vector",
-                noc_sparse_threshold=threshold,
+    for threshold in (ALWAYS_BATCHED, ALWAYS_SCALAR):
+        with pin_crossover(threshold) as steps:
+            system = NetworkInMemory(
+                SystemConfig(
+                    scheme=Scheme.CMP_DNUCA_3D,
+                    mode="cycle",
+                    noc_fabric="vector",
+                )
             )
-        )
-        stats = system.run_trace([list(t) for t in traces])
+            stats = system.run_trace([list(t) for t in traces])
+        assert_pinned(steps, threshold)
         results.append(
             (
                 stats.l2_accesses,

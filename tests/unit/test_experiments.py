@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness (scales, runner, formatting)."""
 
+import re
+
 import pytest
 
 from repro import api
@@ -45,6 +47,13 @@ class TestScales:
         assert scale.warmup_events_for(8) == 4000
         assert scale.warmup_events_for(4) == 2000
         assert scale.warmup_events_for(16) == 8000
+
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, -0.5, float("nan")])
+    def test_warmup_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=re.escape(f"got {fraction!r}")):
+            ExperimentScale(
+                name="x", refs_per_cpu=300, warmup_fraction=fraction
+            )
 
     def test_scale_round_trips(self):
         scale = ExperimentScale(

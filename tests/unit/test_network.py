@@ -95,14 +95,6 @@ class TestNetworkDelivery:
         with pytest.raises(ValueError, match="unknown"):
             net.send(Coord(0, 0, 0), Coord(9, 9, 0))
 
-    def test_packet_callback_fires(self):
-        net = Network(NetworkConfig(width=3, height=3, layers=1))
-        seen = []
-        net.add_packet_callback(seen.append)
-        packet = net.send(Coord(0, 0, 0), Coord(2, 2, 0))
-        net.quiesce()
-        assert seen == [packet]
-
     def test_message_class_preserved(self):
         net = Network(NetworkConfig(width=3, height=3, layers=1))
         packet = net.send(

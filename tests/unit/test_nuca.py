@@ -47,12 +47,6 @@ class TestSearchPolicy:
         policy = SearchPolicy(topo3d)
         assert policy.plan(0) is policy.plan(0)
 
-    def test_clusters_probed(self, topo3d):
-        policy = SearchPolicy(topo3d)
-        plan = policy.plan(0)
-        assert policy.clusters_probed(0, 1) == len(plan.step1)
-        assert policy.clusters_probed(0, 2) == 16
-
 
 class TestNucaBasics:
     def test_miss_places_at_home_cluster(self, topo3d):

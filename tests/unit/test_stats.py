@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, MovingAverage, StatsRegistry
+from repro.sim.stats import Counter, Histogram, StatsRegistry
 
 
 class TestCounter:
@@ -120,24 +120,6 @@ class TestHistogram:
             hist.add_many(1.0, -1)
         hist.add_many(1.0, 0)  # zero is a no-op
         assert hist.count == 0
-
-
-class TestMovingAverage:
-    def test_first_sample_initializes(self):
-        ema = MovingAverage(alpha=0.5)
-        assert ema.update(10.0) == 10.0
-
-    def test_converges_to_constant(self):
-        ema = MovingAverage(alpha=0.5)
-        for __ in range(50):
-            ema.update(3.0)
-        assert ema.value == pytest.approx(3.0)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            MovingAverage(alpha=0.0)
-        with pytest.raises(ValueError):
-            MovingAverage(alpha=1.5)
 
 
 class TestStatsRegistry:

@@ -16,19 +16,24 @@ import random
 import pytest
 
 from repro.noc.network import Network, NetworkConfig
+from repro.noc.vector import SPARSE_THRESHOLD
 from repro.sim.trace import VECTOR_OCCUPANCY, RingTracer
+from tests.vector_paths import (
+    ALWAYS_BATCHED,
+    ALWAYS_SCALAR,
+    assert_pinned,
+    pin_crossover,
+)
 
 np = pytest.importorskip("numpy")
 
 PILLARS = ((1, 1), (2, 2))
 
 
-def make_network(sparse_threshold=None, width=4, height=4, layers=2):
+def make_network(width=4, height=4, layers=2):
     config = NetworkConfig(
         width=width, height=height, layers=layers, pillar_locations=PILLARS
     )
-    if sparse_threshold is not None:
-        config.sparse_threshold = sparse_threshold
     return Network(config, fabric="vector")
 
 
@@ -106,11 +111,12 @@ class TestSparseDenseEquivalence:
     """Threshold 0 (always batched) vs huge (always scalar) vs default."""
 
     def _observables(self, threshold, seed=13):
-        network = make_network(sparse_threshold=threshold)
-        sent = drive_random(network, cycles=150, rate=0.08, seed=seed)
-        network.quiesce(max_cycles=200_000)
+        with pin_crossover(threshold) as steps:
+            network = make_network()
+            sent = drive_random(network, cycles=150, rate=0.08, seed=seed)
+            network.quiesce(max_cycles=200_000)
         stats = network.stats.scope("nic")
-        return (
+        observables = (
             sent,
             network.completed_packets,
             network.engine.cycle,
@@ -118,13 +124,18 @@ class TestSparseDenseEquivalence:
             stats.histogram("packet_latency").mean,
             network.vector_fabric.check_invariants(),
         )
+        return observables, steps
 
     def test_identical_results_across_thresholds(self):
-        batched = self._observables(0)
-        scalar = self._observables(10**9)
-        default = self._observables(None)
+        batched, batched_steps = self._observables(ALWAYS_BATCHED)
+        scalar, scalar_steps = self._observables(ALWAYS_SCALAR)
+        default, default_steps = self._observables(SPARSE_THRESHOLD)
         assert batched == scalar == default
         assert batched[-1] == []
+        assert_pinned(batched_steps, ALWAYS_BATCHED)
+        assert_pinned(scalar_steps, ALWAYS_SCALAR)
+        # The default crossover mixes both paths within one run.
+        assert default_steps["scalar"] and default_steps["batched"]
 
 
 class TestOccupancyObservability:
@@ -142,10 +153,12 @@ class TestOccupancyObservability:
     def test_histograms_equal_across_sparse_and_dense_paths(self):
         """Both paths record the same per-cycle occupancy stream."""
         snapshots = []
-        for threshold in (0, 10**9):
-            network = make_network(sparse_threshold=threshold)
-            drive_random(network, cycles=60, rate=0.08, seed=17)
-            network.quiesce(max_cycles=200_000)
+        for threshold in (ALWAYS_BATCHED, ALWAYS_SCALAR):
+            with pin_crossover(threshold) as steps:
+                network = make_network()
+                drive_random(network, cycles=60, rate=0.08, seed=17)
+                network.quiesce(max_cycles=200_000)
+            assert_pinned(steps, threshold)
             scope = network.stats.scope("noc.vector")
             occupied = scope.histogram("occupied_vcs", bucket_width=8.0)
             lanes = scope.histogram("active_lanes")
