@@ -8,11 +8,11 @@ transfer completes, preventing false misses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class LineEntry:
     """One cache line resident in the L2."""
 

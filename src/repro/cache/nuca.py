@@ -21,7 +21,7 @@ from repro.core.chip import ChipTopology
 from repro.cache.addressing import AddressMap, DecodedAddress
 from repro.cache.line import LineEntry
 from repro.cache.cluster_store import ClusterStore
-from repro.cache.search import SearchPolicy
+from repro.cache.search import SearchPlan, SearchPolicy
 from repro.cache.migration import MigrationPolicy, MigrationConfig
 
 if TYPE_CHECKING:
@@ -85,9 +85,17 @@ class NucaL2:
             )
             for cluster in topology.clusters
         ]
-        # Read per transaction: each cluster's tag array node, by index.
+        # Read per transaction: each cluster's tag array node and bank
+        # nodes, by index, and each CPU's search plan, filled on first
+        # use so that a traced plan is stamped when the policy builds it.
         self._tag_nodes = tuple(
             cluster.tag_node for cluster in topology.clusters
+        )
+        self._bank_nodes = tuple(
+            tuple(cluster.bank_nodes) for cluster in topology.clusters
+        )
+        self._plans: list[Optional[SearchPlan]] = (
+            [None] * self.config.num_cpus
         )
         # Ground truth: line address -> cluster index currently holding it.
         self._location: dict[int, int] = {}
@@ -113,7 +121,7 @@ class NucaL2:
         next alive bank of the same cluster (round-robin scan), so the
         cluster keeps serving its address range at degraded capacity.
         """
-        nodes = self.topology.clusters[cluster_index].bank_nodes
+        nodes = self._bank_nodes[cluster_index]
         bank = decoded.bank
         faults = self._faults
         if faults is not None and faults.dead_banks:
@@ -198,7 +206,9 @@ class NucaL2:
         if access_type is WRITE:
             entry.dirty = True
 
-        plan = self.search.plan(cpu_id)
+        plan = self._plans[cpu_id]
+        if plan is None:
+            plan = self._plans[cpu_id] = self.search.plan(cpu_id)
         step = plan.steps[cluster_index]
         tracer = self.tracer
         if tracer.enabled:
@@ -239,9 +249,13 @@ class NucaL2:
                         target,
                     )
 
+        if self._faults is None:
+            bank_node = self._bank_nodes[cluster_index][decoded.bank]
+        else:
+            bank_node = self.bank_node(cluster_index, decoded)
         return AccessOutcome(
-            True, cluster_index, self.bank_node(cluster_index, decoded),
-            self._tag_nodes[cluster_index], step, access_type, migration,
+            True, cluster_index, bank_node, self._tag_nodes[cluster_index],
+            step, access_type, migration,
         )
 
     def _miss(
@@ -283,9 +297,13 @@ class NucaL2:
                 self._location.pop(evicted_line, None)
                 self._evictions.increment()
         self._location[decoded.line_address] = home
+        if self._faults is None:
+            bank_node = self._bank_nodes[home][decoded.bank]
+        else:
+            bank_node = self.bank_node(home, decoded)
         return AccessOutcome(
-            False, home, self.bank_node(home, decoded),
-            self._tag_nodes[home], 2, access_type, None, evicted_line,
+            False, home, bank_node, self._tag_nodes[home], 2, access_type,
+            None, evicted_line,
         )
 
     # -- migration mechanics ----------------------------------------------------------

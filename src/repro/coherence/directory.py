@@ -41,15 +41,14 @@ class Directory:
         the writer's own copy (if any) is retained.
         """
         sharers = self._sharers.get(line_address)
-        if not sharers:
+        if not sharers or len(sharers) == 1 and writer in sharers:
             return []
+        # Past the early return some sharer is not the writer.
         targets = sorted(cpu for cpu in sharers if cpu != writer)
-        if targets:
-            kept = {writer} if writer in sharers else set()
-            if kept:
-                self._sharers[line_address] = kept
-            else:
-                del self._sharers[line_address]
+        if writer in sharers:
+            self._sharers[line_address] = {writer}
+        else:
+            del self._sharers[line_address]
         return targets
 
     def invalidate_line(self, line_address: int) -> list[int]:

@@ -51,14 +51,22 @@ class L1Cache:
     # -- operations ------------------------------------------------------------
 
     def lookup(self, address: int) -> bool:
-        """Probe (and LRU-update on hit) for ``address``."""
+        """Probe (and LRU-update on hit) for ``address``.
+
+        The MRU way is tested first: most hits land there and need no
+        reordering.  A set emptied by invalidations stays an empty list.
+        """
         line = address >> self._offset_bits
         ways = self._sets.get(line & self._set_mask)
-        if ways is not None and line in ways:
-            ways.remove(line)
-            ways.insert(0, line)
-            self.hits += 1
-            return True
+        if ways:
+            if ways[0] == line:
+                self.hits += 1
+                return True
+            if line in ways:
+                ways.remove(line)
+                ways.insert(0, line)
+                self.hits += 1
+                return True
         self.misses += 1
         return False
 

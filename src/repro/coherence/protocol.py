@@ -8,9 +8,9 @@ invalidations.  Consistent with the write-through L1s, the protocol is:
 
 * **read / ifetch hit** — L1 satisfies it; no L2 traffic.
 * **read / ifetch miss** — L2 read; the reader becomes a sharer.
-* **write** — always propagated to the L2 (write-through); all *other*
-  sharers are invalidated.  With no-write-allocate (default), a writing
-  CPU that does not hold the line does not gain it.
+* **write** — propagated to the L2 (write-through) unless it coalesces
+  in the CPU's write buffer; all *other* sharers are invalidated, and a
+  writer that misses the L1 allocates the line (write-allocate).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class CoherenceEvent(NamedTuple):
     """Consequences of one CPU memory reference.
 
     Immutable, so every reference without invalidations shares one of the
-    module constants below; only a write-through builds a new event, to
-    carry the directory's list of CPUs to invalidate.
+    module constants below; only a write-through that invalidates another
+    L1 builds a new event, to carry the directory's list of those CPUs.
     """
 
     l1_hit: bool
@@ -41,8 +41,11 @@ class CoherenceEvent(NamedTuple):
 L1_HIT = CoherenceEvent(True, False)
 #: A store that coalesces into the write buffer over an L1 miss.
 COALESCED_MISS = CoherenceEvent(False, False)
-#: A read or fetch that misses the L1.
+#: A read or fetch that misses the L1, or a write-through over an L1
+#: miss that invalidates no other L1.
 L1_MISS = CoherenceEvent(False, True)
+#: A write-through over an L1 hit that invalidates no other L1.
+WRITE_THROUGH_HIT = CoherenceEvent(True, True)
 
 
 class CoherentL1System:
@@ -106,8 +109,18 @@ class CoherentL1System:
             if len(buffer) > self._write_buffer_entries:
                 buffer.pop()
             invalidated = self.directory.write_invalidate(line, cpu_id)
+            # The writer is never among the invalidated CPUs, so its
+            # fill and their invalidations touch disjoint state.
+            if not hit:
+                evicted = cache.fill(address)
+                self.directory.add_sharer(line, cpu_id)
+                if evicted is not None:
+                    self.directory.drop_sharer(evicted, cpu_id)
+            # Write-through: the L2 sees every store.
+            if not invalidated:
+                return WRITE_THROUGH_HIT if hit else L1_MISS
             tracer = self.tracer
-            if tracer.enabled and invalidated:
+            if tracer.enabled:
                 tracer.coherence(
                     cycle,
                     self._cpu_tracks[cpu_id],
@@ -121,12 +134,6 @@ class CoherentL1System:
                 target_buffer = self._write_buffers[target]
                 if line in target_buffer:
                     target_buffer.remove(line)
-            if not hit:
-                evicted = cache.fill(address)
-                self.directory.add_sharer(line, cpu_id)
-                if evicted is not None:
-                    self.directory.drop_sharer(evicted, cpu_id)
-            # Write-through: the L2 sees every store.
             return CoherenceEvent(hit, True, invalidated)
 
         # READ / IFETCH: a hit needs nothing beyond the L1 probe.

@@ -143,8 +143,11 @@ class TransactionPricer:
 
         # Background traffic first: a migration and its swap load the
         # network but are off the critical path.
-        if outcome.migration is not None:
-            src, dst = (self.clusters[c].center for c in outcome.migration)
+        migration = outcome.migration
+        if migration is not None:
+            source, target = migration
+            src = self.clusters[source].center
+            dst = self.clusters[target].center
             medium.send(src, dst, cfg.data_flits, cycle, MessageClass.MIGRATION)
             medium.send(dst, src, cfg.data_flits, cycle, MessageClass.MIGRATION)
 

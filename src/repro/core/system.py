@@ -326,7 +326,9 @@ class NetworkInMemory:
         to the lower CPU id, so the latency model sees a coherent time
         axis.  The first ``warmup_events`` references warm the caches
         without being counted in the reported statistics (the paper warms
-        the L2 for 500 M cycles before its 2 B-cycle sample).
+        the L2 for 500 M cycles before its 2 B-cycle sample).  Traces
+        that run dry before warm-up ends raise ``ValueError``; a warm-up
+        of exactly their total leaves every statistic at zero.
 
         The retire rule lives here: a reference first retires its ``gap``
         non-memory instructions at the base CPI, then itself in one cycle;
@@ -401,6 +403,12 @@ class NetworkInMemory:
             core.l2_accesses = l2_accesses
             if ran_dry:
                 if not heap:
+                    if until_warm > 0:
+                        raise ValueError(
+                            f"warmup_events={warmup_events} exceeds the "
+                            f"{warmup_events - until_warm} references in "
+                            f"the traces"
+                        )
                     break
                 __, cpu = heappop(heap)
             elif until_warm:

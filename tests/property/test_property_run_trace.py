@@ -10,12 +10,14 @@ must leave every reported statistic and every core's accounting equal.
 
 import heapq
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import Scheme
 from repro.core.system import _OP_TO_TYPE, NetworkInMemory, SystemConfig
 from repro.cpu.core import InOrderCore
 from repro.cpu.trace import OP_IFETCH, OP_READ, OP_WRITE
+from repro.workloads.generator import SyntheticWorkload
 
 NUM_CPUS = 8
 
@@ -129,30 +131,40 @@ tied_traces = st.lists(
 schemes = st.sampled_from([Scheme.CMP_DNUCA, Scheme.CMP_DNUCA_3D])
 
 
-def warmup_for(data, total: int) -> int:
-    """Warm-up at 0, mid-trace, exactly the total, or past the end."""
+def assert_warmup_agrees(scheme: Scheme, traces, data) -> None:
+    """Warm-up at 0, mid-trace, exactly the total, or past the end.
+
+    Past the end the traces run dry before warm-up ends, which
+    ``run_trace`` rejects, naming the warm-up and the reference count.
+    """
+    total = sum(len(trace) for trace in traces)
     where = data.draw(st.sampled_from(["zero", "mid", "total", "past"]))
+    if where == "past":
+        warmup = total + data.draw(st.integers(1, 50))
+        system = NetworkInMemory(SystemConfig(scheme=scheme))
+        with pytest.raises(ValueError, match=rf"={warmup} .* {total} refer"):
+            system.run_trace(traces, warmup_events=warmup)
+        return
     if where == "zero":
-        return 0
-    if where == "mid":
-        return data.draw(st.integers(1, max(1, total - 1)))
-    if where == "total":
-        return total
-    return total + data.draw(st.integers(1, 50))
+        warmup = 0
+    elif where == "mid" and total > 1:
+        warmup = data.draw(st.integers(1, total - 1))
+    else:
+        # "total", or "mid" with no reference strictly inside the traces.
+        warmup = total
+    assert_loops_agree(scheme, traces, warmup)
 
 
 @settings(max_examples=60, deadline=None)
 @given(scheme=schemes, per_cpu=traces, data=st.data())
 def test_run_loop_matches_reference(scheme, per_cpu, data):
-    total = sum(len(trace) for trace in per_cpu)
-    assert_loops_agree(scheme, per_cpu, warmup_for(data, total))
+    assert_warmup_agrees(scheme, per_cpu, data)
 
 
 @settings(max_examples=30, deadline=None)
 @given(scheme=schemes, per_cpu=tied_traces, data=st.data())
 def test_tied_clocks_go_to_the_lower_cpu(scheme, per_cpu, data):
-    total = sum(len(trace) for trace in per_cpu)
-    assert_loops_agree(scheme, per_cpu, warmup_for(data, total))
+    assert_warmup_agrees(scheme, per_cpu, data)
 
 
 def test_warmup_at_total_resets_every_stat():
@@ -167,3 +179,17 @@ def test_warmup_at_total_resets_every_stat():
     stats = system.run_trace(per_cpu, warmup_events=total)
     assert stats.instructions == 0 and stats.l2_accesses == 0
     assert all(core.clock > 0 for core in system.cores)
+
+
+@pytest.mark.parametrize("warmup", [200 * NUM_CPUS + 5, 10**9])
+def test_warmup_past_the_traces_raises(warmup):
+    """A warm-up the traces cannot finish is an error, not a full sample."""
+    per_cpu = SyntheticWorkload(
+        "swim", num_cpus=NUM_CPUS, refs_per_cpu=200, seed=1
+    ).traces()
+    system = NetworkInMemory(SystemConfig(scheme=Scheme.CMP_DNUCA_3D))
+    with pytest.raises(
+        ValueError,
+        match=rf"warmup_events={warmup} exceeds the {200 * NUM_CPUS} refer",
+    ):
+        system.run_trace(per_cpu, warmup_events=warmup)

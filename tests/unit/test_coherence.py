@@ -5,7 +5,7 @@ import pytest
 from repro.cache.nuca import AccessType
 from repro.coherence.l1cache import L1Cache, L1Config
 from repro.coherence.directory import Directory
-from repro.coherence.protocol import CoherentL1System
+from repro.coherence.protocol import CoherenceEvent, CoherentL1System
 
 
 class TestL1Cache:
@@ -26,9 +26,23 @@ class TestL1Cache:
         a, b, c = 0x0, set_stride, 2 * set_stride  # same set
         cache.fill(a)
         cache.fill(b)
-        cache.lookup(a)          # a becomes MRU
+        cache.lookup(a)          # a hits the LRU way and becomes MRU
         evicted = cache.fill(c)
         assert evicted == cache.line_of(b)
+
+    def test_mru_hit_keeps_the_order(self):
+        """A hit on the MRU way returns early and leaves the LRU way last."""
+        config = L1Config()
+        cache = L1Cache(0, config)
+        set_stride = config.num_sets * config.line_bytes
+        a, b, c = 0x0, set_stride, 2 * set_stride  # same set
+        cache.fill(a)
+        cache.fill(b)
+        assert cache.lookup(b)   # b is already MRU
+        assert cache.hits == 1
+        evicted = cache.fill(c)
+        assert evicted == cache.line_of(a)
+        assert cache.contains(b)
 
     def test_invalidate(self):
         cache = L1Cache(0)
@@ -36,6 +50,9 @@ class TestL1Cache:
         assert cache.invalidate(0x40)
         assert not cache.contains(0x40)
         assert not cache.invalidate(0x40)
+        # The emptied set is still allocated; probing it is a miss.
+        assert not cache.lookup(0x40)
+        assert cache.misses == 1
 
     def test_miss_rate(self):
         cache = L1Cache(0)
@@ -65,6 +82,12 @@ class TestDirectory:
         targets = directory.write_invalidate(0x10, writer=1)
         assert targets == [0, 2]
         assert directory.sharers_of(0x10) == frozenset({1})
+
+    def test_write_invalidate_sole_sharer(self):
+        directory = Directory(4)
+        directory.add_sharer(0x10, 2)
+        assert directory.write_invalidate(0x10, writer=2) == []
+        assert directory.sharers_of(0x10) == frozenset({2})
 
     def test_write_invalidate_nonsharing_writer(self):
         directory = Directory(4)
@@ -115,10 +138,31 @@ class TestCoherentL1System:
         system = CoherentL1System(4)
         system.access(0, 0x3000, AccessType.READ)
         system.access(1, 0x3000, AccessType.READ)
+        system.access(3, 0x3000, AccessType.READ)
+        event = system.access(1, 0x3000, AccessType.WRITE)
+        assert event.l1_hit and event.needs_l2
+        assert event.invalidate_cpus == [0, 3]
+        assert system.directory.sharers_of(
+            system.dcaches[1].line_of(0x3000)
+        ) == frozenset({1})
         event = system.access(2, 0x3000, AccessType.WRITE)
-        assert sorted(event.invalidate_cpus) == [0, 1]
+        assert event.invalidate_cpus == [1]
         assert not system.dcaches[0].contains(0x3000)
         assert not system.dcaches[1].contains(0x3000)
+        assert not system.dcaches[3].contains(0x3000)
+
+    @pytest.mark.parametrize("held", [True, False], ids=["hit", "miss"])
+    def test_write_through_without_other_sharers(self, held):
+        """Only the writer holds the line, or nobody does: no invalidation."""
+        system = CoherentL1System(4)
+        if held:
+            system.access(1, 0x3000, AccessType.READ)
+        event = system.access(1, 0x3000, AccessType.WRITE)
+        assert event == CoherenceEvent(held, True, ())
+        assert not event.invalidate_cpus
+        line = system.dcaches[1].line_of(0x3000)
+        assert system.directory.sharers_of(line) == frozenset({1})
+        assert system.dcaches[1].contains(0x3000)
 
     def test_write_coalescing_in_buffer(self):
         system = CoherentL1System(4)

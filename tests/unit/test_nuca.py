@@ -10,6 +10,7 @@ from repro.core.schemes import Scheme, make_chip_config
 from repro.cache.nuca import NucaL2, AccessType
 from repro.cache.migration import MigrationConfig, MigrationPolicy
 from repro.cache.search import SearchPolicy
+from repro.faults.state import FaultState
 
 
 @pytest.fixture()
@@ -322,3 +323,52 @@ class TestMigrationMemos:
             policy.config.bankset_chains = not policy.config.bankset_chains
         with pytest.raises(dataclasses.FrozenInstanceError):
             policy.config.transfer_flits += 1
+
+
+class TestHitLookups:
+    """A transaction's plan and bank node equal the general calls."""
+
+    @pytest.fixture(params=sorted(MEMO_POLICIES))
+    def nuca(self, request):
+        scheme, chip, chains = MEMO_POLICIES[request.param]
+        setup = make_chip_config(scheme, **chip)
+        topology = build_topology(setup.chip, setup.placement)
+        return NucaL2(topology, MigrationConfig(bankset_chains=chains))
+
+    def test_plan_and_bank_node_match_the_general_path(self, nuca):
+        policy = SearchPolicy(nuca.topology)
+        cpus = range(nuca.config.num_cpus)
+        addresses = [
+            address_for_cluster(nuca, cluster, index=cluster * 37)
+            for cluster in range(nuca.config.num_clusters)
+        ]
+        hits = 0
+        # The first pass places every line; the second hits from each CPU.
+        for __ in range(2):
+            for cpu in cpus:
+                for address in addresses:
+                    outcome = nuca.access(cpu, address)
+                    decoded = nuca.addr_map.decode(address)
+                    assert outcome.bank_node == nuca.bank_node(
+                        outcome.cluster, decoded
+                    )
+                    if outcome.hit:
+                        hits += 1
+                        assert outcome.search_step == (
+                            policy.plan(cpu).steps[outcome.cluster]
+                        )
+        assert hits
+        assert nuca._plans == [policy.plan(cpu) for cpu in cpus]
+
+    def test_dead_bank_still_remaps(self, nuca):
+        state = FaultState(stats=nuca.stats)
+        nuca.attach_fault_state(state)
+        address = address_for_cluster(nuca, 0, index=0)
+        state.fail_bank((0, nuca.addr_map.decode(address).bank))
+        miss = nuca.access(0, address)
+        hit = nuca.access(0, address)
+        assert (miss.hit, hit.hit) == (False, True)
+        nodes = nuca.topology.clusters[0].bank_nodes
+        assert miss.bank_node == hit.bank_node == nodes[1]
+        remapped = nuca.stats.scope("faults").counter("bank_remapped")
+        assert remapped.value == 2
