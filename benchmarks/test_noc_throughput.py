@@ -1,10 +1,9 @@
-"""Bench: loaded-mesh NoC throughput — reference vs optimized vs vector.
+"""Bench: loaded-mesh NoC throughput — reference vs optimized.
 
 Drives the paper's 16x8 x 2-layer pillar mesh with uniform random traffic
-at three operating points and measures wall-clock cycles/sec for three
-fabrics: the frozen naive implementation (``repro.noc.reference``), the
-allocation-free object hot path, and the SoA batch fabric
-(``FabricKind.VECTOR``) that advances the whole mesh with numpy bulk ops.
+at three operating points and measures wall-clock cycles/sec for both
+fabrics: the frozen naive implementation (``repro.noc.reference``) and
+the allocation-free hot path.
 
 Timing on a shared machine is noisy (observed trial spread of several x),
 so every (fabric, rate) cell takes the best of ``TRIALS`` runs; the
@@ -14,28 +13,16 @@ including the survivorship-bias observables (``delivered_fraction`` and
 the in-flight age summary) so a latency mean is never read without its
 censoring context.
 
-A fourth operating point ("sparse") replays the regime ``mode="cycle"``
-actually runs in: one transaction leg in flight at a time on the large
-mesh, the fabric quiescent between legs.  This is where the vector
-fabric's occupancy-adaptive advance (incremental occupied set + scalar
-sparse path + idle fast-forward) must beat the object hot path for
-VECTOR to be the universal default.
-
 Acceptance bars:
   - optimized >= 2x reference cycles/sec at saturation (injection 0.2),
     with the workload provably identical (same injections, deliveries,
-    in-flight population, mean latency) under both object fabrics;
-  - vector >= 10x reference cycles/sec at saturation;
-  - vector >= optimized cycles/sec at the sparse leg-at-a-time point,
-    with the per-leg latency sum exactly equal (zero-load contract);
-  - a 32x32x4 mesh cell ("vector_large") completes under the vector
-    fabric inside the benchmark run, demonstrating paper-beyond scale.
+    in-flight population, mean latency) under both fabrics;
+  - optimized never loses at the low and medium points.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from pathlib import Path
 
@@ -51,12 +38,6 @@ OUTPUT = REPO_ROOT / "BENCH_noc.json"
 PILLARS = ((3, 3), (11, 3), (7, 5), (14, 6))
 MESH = dict(width=16, height=8, layers=2, pillar_locations=PILLARS)
 
-# Beyond-paper scale smoke: 32x32x4 with the paper placement scaled up.
-LARGE_PILLARS = ((6, 12), (22, 12), (14, 20), (28, 24))
-LARGE_MESH = dict(width=32, height=32, layers=4, pillar_locations=LARGE_PILLARS)
-LARGE_CYCLES = 200
-LARGE_RATE = 0.05
-
 # (label, injection rate in packets/node/cycle)
 OPERATING_POINTS = [
     ("low", 0.002),
@@ -67,26 +48,20 @@ OPERATING_POINTS = [
 CYCLES = 1000
 SEED = 5
 TRIALS = 3
-VECTOR_REPEATS = 3
-
-# Sparse point: one leg in flight at a time on the large mesh — the
-# cycle-mode medium regime (send one packet, run the engine until
-# delivery).
-SPARSE_LEGS = 200
 
 
-def _run_once(fabric: str, rate: float, mesh: dict, cycles: int) -> dict:
+def _run_once(fabric: str, rate: float) -> dict:
     engine = Engine("bench")
     stats = StatsRegistry("bench")
-    network = Network(NetworkConfig(**mesh), engine=engine, stats=stats,
+    network = Network(NetworkConfig(**MESH), engine=engine, stats=stats,
                       fabric=fabric)
     generator = UniformRandomTraffic(network, rate, seed=SEED)
     start = time.perf_counter()
-    engine.run(cycles)
+    engine.run(CYCLES)
     elapsed = time.perf_counter() - start
     ages = network.in_flight_ages()
     return {
-        "cycles_per_sec": cycles / elapsed,
+        "cycles_per_sec": CYCLES / elapsed,
         "wall_seconds": elapsed,
         "packets_sent": generator.packets_sent,
         "packets_received": stats.scope("nic").counter("packets_received").value,
@@ -99,47 +74,22 @@ def _run_once(fabric: str, rate: float, mesh: dict, cycles: int) -> dict:
     }
 
 
-def _measure(fabric: str, rate: float, mesh: dict = MESH,
-             cycles: int = CYCLES, trials: int = TRIALS) -> dict:
-    """Best-of-``trials`` wall clock; the simulated behaviour is seeded."""
-    best = None
-    walls = []
-    for __ in range(trials):
-        result = _run_once(fabric, rate, mesh, cycles)
-        walls.append(round(result["wall_seconds"], 4))
-        if best is None or result["cycles_per_sec"] > best["cycles_per_sec"]:
-            best = result
-    best["trial_wall_seconds"] = walls
-    return best
-
-
 def _measure_point(rate: float) -> dict:
-    """All three fabrics at one operating point, trials interleaved.
+    """Both fabrics at one operating point, trials interleaved.
 
-    Speedups are computed per paired trial (reference/optimized/vector
+    Speedups are computed per paired trial (reference and optimized
     run back-to-back, so each pair sees similar machine load) and the
     best pair is reported — robust against a single lucky-fast or
     unlucky-slow trial skewing the ratio on a noisy shared machine.
     The per-fabric stats come from each fabric's own fastest trial.
     """
     best = {}
-    walls = {"reference": [], "optimized": [], "vector": []}
-    speedups, vector_speedups = [], []
+    walls = {"reference": [], "optimized": []}
+    speedups = []
     for __ in range(TRIALS):
         trial = {}
-        for fabric in ("reference", "optimized", "vector"):
-            # The vector runs are an order of magnitude shorter than the
-            # object-fabric runs, so scheduler noise hits them hardest;
-            # repeat them within the paired window and keep the best.
-            repeats = VECTOR_REPEATS if fabric == "vector" else 1
-            result = None
-            for ___ in range(repeats):
-                attempt = _run_once(fabric, rate, MESH, CYCLES)
-                if (
-                    result is None
-                    or attempt["cycles_per_sec"] > result["cycles_per_sec"]
-                ):
-                    result = attempt
+        for fabric in ("reference", "optimized"):
+            result = _run_once(fabric, rate)
             trial[fabric] = result
             walls[fabric].append(round(result["wall_seconds"], 4))
             held = best.get(fabric)
@@ -147,81 +97,13 @@ def _measure_point(rate: float) -> dict:
                 best[fabric] = result
         ref_cps = trial["reference"]["cycles_per_sec"]
         speedups.append(trial["optimized"]["cycles_per_sec"] / ref_cps)
-        vector_speedups.append(trial["vector"]["cycles_per_sec"] / ref_cps)
     for fabric, entry in best.items():
         entry["trial_wall_seconds"] = walls[fabric]
     return {
         "reference": best["reference"],
         "optimized": best["optimized"],
-        "vector": best["vector"],
         "speedup": max(speedups),
-        "vector_speedup": max(vector_speedups),
         "trial_speedups": [round(s, 3) for s in speedups],
-        "trial_vector_speedups": [round(s, 3) for s in vector_speedups],
-    }
-
-
-def _run_sparse_once(fabric: str) -> dict:
-    """Leg-at-a-time traffic on the large mesh: the cycle-mode regime."""
-    engine = Engine("bench")
-    stats = StatsRegistry("bench")
-    network = Network(NetworkConfig(**LARGE_MESH), engine=engine,
-                      stats=stats, fabric=fabric)
-    nodes = list(network.coords())
-    rng = random.Random(SEED)
-    legs = [rng.sample(nodes, 2) for __ in range(SPARSE_LEGS)]
-    latency_sum = 0.0
-    start = time.perf_counter()
-    for src, dest in legs:
-        packet = network.send(src, dest, size_flits=4)
-        engine.run_until(
-            lambda: packet.ejected_cycle is not None, max_cycles=1_000_000
-        )
-        latency_sum += float(packet.latency)
-    elapsed = time.perf_counter() - start
-    return {
-        "cycles_per_sec": engine.cycle / elapsed,
-        "wall_seconds": elapsed,
-        "legs": SPARSE_LEGS,
-        "final_cycle": engine.cycle,
-        "latency_sum": latency_sum,
-        "packets_received": stats.scope("nic").counter(
-            "packets_received"
-        ).value,
-    }
-
-
-def _measure_sparse() -> dict:
-    """Optimized vs vector at the sparse point, trials paired.
-
-    Same robustness scheme as :func:`_measure_point`: the speedup is the
-    best of the per-trial paired ratios, never a cross-trial ratio.
-    """
-    best = {}
-    walls = {"optimized": [], "vector": []}
-    speedups = []
-    for __ in range(TRIALS):
-        trial = {}
-        for fabric in ("optimized", "vector"):
-            result = _run_sparse_once(fabric)
-            trial[fabric] = result
-            walls[fabric].append(round(result["wall_seconds"], 4))
-            held = best.get(fabric)
-            if held is None or result["cycles_per_sec"] > held["cycles_per_sec"]:
-                best[fabric] = result
-        speedups.append(
-            trial["vector"]["cycles_per_sec"]
-            / trial["optimized"]["cycles_per_sec"]
-        )
-    for fabric, entry in best.items():
-        entry["trial_wall_seconds"] = walls[fabric]
-    return {
-        "mesh": {k: v for k, v in LARGE_MESH.items()},
-        "legs": SPARSE_LEGS,
-        "optimized": best["optimized"],
-        "vector": best["vector"],
-        "vector_speedup": max(speedups),
-        "trial_vector_speedups": [round(s, 3) for s in speedups],
     }
 
 
@@ -230,16 +112,6 @@ def test_noc_throughput(once):
         results = {}
         for label, rate in OPERATING_POINTS:
             results[label] = {"injection_rate": rate, **_measure_point(rate)}
-        results["sparse"] = _measure_sparse()
-        results["vector_large"] = {
-            "mesh": {k: v for k, v in LARGE_MESH.items()},
-            "injection_rate": LARGE_RATE,
-            "cycles": LARGE_CYCLES,
-            "vector": _measure(
-                "vector", LARGE_RATE, mesh=LARGE_MESH,
-                cycles=LARGE_CYCLES, trials=1,
-            ),
-        }
         return results
 
     results = once(sweep)
@@ -255,11 +127,10 @@ def test_noc_throughput(once):
 
     for label, __ in OPERATING_POINTS:
         entry = results[label]
-        # Identical workload under both object fabrics: same injections
-        # and deliveries, same in-flight population, same mean latency.
+        # Identical workload under both fabrics: same injections and
+        # deliveries, same in-flight population, same mean latency.
         # (The full counter-for-counter equality lives in
-        # tests/integration/test_noc_differential.py; the vector fabric
-        # is held to distribution-level equivalence there.)
+        # tests/integration/test_noc_differential.py.)
         reference, optimized = entry["reference"], entry["optimized"]
         for key in (
             "packets_sent",
@@ -270,19 +141,11 @@ def test_noc_throughput(once):
             "delivered_fraction",
         ):
             assert optimized[key] == reference[key], (label, key)
-        # Same injection sequence and exact conservation on the vector
-        # fabric too.
-        vector = entry["vector"]
-        assert vector["packets_sent"] == reference["packets_sent"], label
-        assert (
-            vector["packets_received"] + vector["in_flight"]
-            == vector["packets_sent"]
-        ), label
 
     # Survivorship-bias guard: under saturation most packets are still in
     # flight, and the stats must say so rather than present the mean
     # latency of the lucky survivors as the network's latency.
-    for fabric in ("reference", "optimized", "vector"):
+    for fabric in ("reference", "optimized"):
         saturated = results["saturation"][fabric]
         assert saturated["delivered_fraction"] < 0.5, fabric
         assert saturated["in_flight_max_age"] > 0, fabric
@@ -296,31 +159,3 @@ def test_noc_throughput(once):
     # The optimized fabric must never lose at the other operating points.
     assert results["low"]["speedup"] >= 0.75
     assert results["medium"]["speedup"] >= 1.0
-    # ISSUE 6: the SoA batch fabric clears 10x at saturation.
-    assert results["saturation"]["vector_speedup"] >= 10.0, (
-        f"vector fabric only "
-        f"{results['saturation']['vector_speedup']:.2f}x at saturation"
-    )
-    # ISSUE 8: occupancy-adaptive advance — the vector fabric wins the
-    # sparse leg-at-a-time regime too, making it the universal default.
-    sparse = results["sparse"]
-    assert sparse["vector_speedup"] >= 1.0, (
-        f"vector fabric only {sparse['vector_speedup']:.2f}x the optimized "
-        f"fabric at the sparse operating point"
-    )
-    # Zero-load contract: with one leg in flight at a time there is no
-    # contention, so per-leg latencies — not just their distribution —
-    # are exactly equal across fabrics.
-    assert sparse["vector"]["latency_sum"] == sparse["optimized"]["latency_sum"]
-    assert (
-        sparse["vector"]["packets_received"]
-        == sparse["optimized"]["packets_received"]
-        == SPARSE_LEGS
-    )
-    # The 32x32x4 smoke cell must finish and conserve packets.
-    large = results["vector_large"]["vector"]
-    assert large["final_cycle"] == LARGE_CYCLES
-    assert (
-        large["packets_received"] + large["in_flight"]
-        == large["packets_sent"]
-    )

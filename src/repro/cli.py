@@ -58,7 +58,6 @@ from repro.faults.spec import (
     FaultSpec,
     parse_fault_arg,
 )
-from repro.noc.fabric import AUTO_FABRIC, resolve_fabric
 from repro.sim.trace import TraceSpec, write_trace
 
 _PLACEMENTS = {policy.value: policy for policy in PlacementPolicy}
@@ -142,13 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
              "unless --mode is given explicitly)",
     )
     run.add_argument(
-        "--fabric", choices=("optimized", "vector", "auto"),
-        default="optimized",
-        help="NoC fabric for cycle mode: optimized (object hot path), "
-             "vector (numpy batch fabric), auto (vector when the run is "
-             "cycle-mode, else optimized)",
-    )
-    run.add_argument(
         "--trace", default=None, metavar="FILE",
         help="record structured events and export them to FILE",
     )
@@ -220,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--mode", choices=("model", "cycle"), default="model",
         help="timing fidelity for every cell (default: model)",
-    )
-    sweep.add_argument(
-        "--fabric", choices=("optimized", "vector", "auto"),
-        default="optimized",
-        help="NoC fabric for cycle-mode cells (default: optimized)",
     )
     sweep.add_argument("--json", action="store_true",
                        help="emit the full sweep summary as JSON")
@@ -392,16 +379,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             onset=args.fault_onset,
             watchdog_window=args.watchdog_window,
         )
-    fabric_resolution = None
-    if args.fabric == AUTO_FABRIC:
-        resolved, reason = resolve_fabric(mode)
-        fabric_resolution = {
-            "requested": AUTO_FABRIC,
-            "resolved": resolved,
-            "reason": reason,
-        }
-        # Stderr so `--json` output on stdout stays parseable.
-        print(f"fabric: auto -> {resolved} ({reason})", file=sys.stderr)
     spec = SimSpec.make(
         args.scheme,
         args.benchmark,
@@ -410,7 +387,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         pillars=args.pillars,
         cache_mb=args.cache_mb,
         mode=mode,
-        fabric=args.fabric,
         trace=trace_spec,
         faults=fault_spec,
     )
@@ -426,8 +402,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.json:
         payload = {"spec": spec.to_dict(), "stats": stats.to_dict()}
-        if fabric_resolution is not None:
-            payload["fabric_resolution"] = fabric_resolution
         print(json.dumps(payload, indent=1))
         return 0
     print(f"scheme:            {args.scheme.value}")
@@ -464,7 +438,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             scheme, benchmark, scale=scale,
             cache_mb=cache_mb, layers=layers, pillars=pillars,
             mode=args.mode,
-            fabric=args.fabric,
             faults=(
                 FaultSpec(dead_pillars=dead_pillars)
                 if dead_pillars else None

@@ -41,7 +41,7 @@ class NodeRole(enum.Enum):
 _CLUSTER_TILES = {
     16: (4, 4), 32: (8, 4), 64: (8, 8), 128: (16, 8),
     # Beyond-paper scale: 256 MB over 4 layers tiles each cluster
-    # 16x16, giving the 32x32-per-layer mesh the vector fabric targets.
+    # 16x16, giving a 32x32-per-layer mesh.
     256: (16, 16),
 }
 

@@ -50,11 +50,7 @@ class CycleMedium:
         # One transaction leg in flight at a time leaves most of the
         # fabric quiescent, which is exactly where the network's own
         # activity-tracked engine fast-forwards idle windows.
-        self.network = Network(
-            network_config,
-            fabric=system.config.noc_fabric,
-            tracer=system.tracer,
-        )
+        self.network = Network(network_config, tracer=system.tracer)
 
     def _inject(self, src: Coord, dest: Coord, flits: int,
                 cls: MessageClass) -> Packet:

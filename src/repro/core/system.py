@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.noc.fabric import FabricKind
 from repro.noc.routing import Coord
 from repro.core.chip import ChipTopology
 from repro.core.placement import PlacementPolicy, build_topology
@@ -59,14 +58,6 @@ class SystemConfig:
     request_flits: int = 1         # tag query / request header
     data_flits: int = 4            # 64B line = 4 x 128-bit flits
     cpi_base: float = 1.0
-    # Fabric implementation for mode="cycle": OPTIMIZED is the
-    # allocation-free hot path, REFERENCE the frozen naive fabric it is
-    # differentially verified against (bit-identical, much slower), and
-    # VECTOR the numpy batch fabric (distribution-level equivalent).
-    # Strings ("optimized"/"reference"/"vector") are accepted and
-    # normalised to the enum by validate(); SimSpec resolves "auto"
-    # before it builds a config.
-    noc_fabric: "FabricKind | str" = FabricKind.OPTIMIZED
     # Structured event tracing: None (default) means probe sites see the
     # NullTracer and the hot path stays allocation-free.
     tracer: Optional[Tracer] = None
@@ -94,8 +85,6 @@ class SystemConfig:
     def validate(self) -> None:
         if self.mode not in ("model", "cycle"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        # Normalise the CLI/spec boundary string through the one validator.
-        self.noc_fabric = FabricKind.parse(self.noc_fabric)
         if self.tag_latency < 1 or self.bank_latency < 1:
             raise ValueError("array latencies must be positive")
 

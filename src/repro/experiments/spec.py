@@ -33,7 +33,6 @@ from typing import Optional
 
 from repro.core.schemes import Scheme
 from repro.core.system import NetworkInMemory, RunStats, SystemConfig
-from repro.noc.fabric import AUTO_FABRIC, resolve_fabric
 from repro.faults.spec import FaultSpec
 from repro.sim.rng import derive_seed
 from repro.sim.trace import TraceSpec
@@ -60,16 +59,8 @@ class SimSpec:
     # budget varies (Fig 17 isolates the interconnect effect).
     fixed_floorplan: bool = False
     # Timing fidelity: "model" (analytic latency model) or "cycle"
-    # (packets fly through the real fabric).
+    # (packets fly through the optimized NoC fabric).
     mode: str = "model"
-    # NoC fabric for mode="cycle": "optimized" (allocation-free object
-    # hot path), "reference" (frozen naive oracle), or "vector" (numpy
-    # structure-of-arrays batch fabric; distribution-level equivalent,
-    # fastest at every load since its occupancy-adaptive advance).
-    # "auto" is accepted and resolved to a concrete name at construction
-    # (vector in cycle mode, optimized in model mode), so spec hashes
-    # only ever cover concrete fabrics.  Ignored by mode="model".
-    fabric: str = "optimized"
     # Per-cell tracing opt-in: a TraceSpec makes simulate() attach a
     # RingTracer to the system, so a single sweep cell can be traced
     # reproducibly.  None (default) keeps the NullTracer.
@@ -79,10 +70,6 @@ class SimSpec:
     # deterministically from the cell seed.  None (default) keeps the
     # run fault-unaware and every pre-existing spec hash unchanged.
     faults: Optional[FaultSpec] = None
-
-    def __post_init__(self) -> None:
-        if self.fabric == AUTO_FABRIC:
-            object.__setattr__(self, "fabric", resolve_fabric(self.mode)[0])
 
     @classmethod
     def make(
@@ -121,8 +108,6 @@ class SimSpec:
         }
         if self.mode != "model":
             data["mode"] = self.mode
-        if self.fabric != "optimized":
-            data["fabric"] = self.fabric
         if self.trace is not None:
             data["trace"] = self.trace.to_dict()
         if self.faults is not None:
@@ -136,6 +121,13 @@ class SimSpec:
             raise ValueError(
                 f"spec version {version} incompatible with {SPEC_VERSION}"
             )
+        # Cycle mode runs only the optimized fabric; a spec naming any
+        # other would run as a different cell than it describes.
+        fabric = data.get("fabric", "optimized")
+        if fabric != "optimized":
+            raise ValueError(
+                f"unknown fabric {fabric!r}; cycle mode runs 'optimized' only"
+            )
         return cls(
             scheme=Scheme(data["scheme"]),
             benchmark=data["benchmark"],
@@ -147,7 +139,6 @@ class SimSpec:
             num_cpus=data["num_cpus"],
             fixed_floorplan=data["fixed_floorplan"],
             mode=data.get("mode", "model"),
-            fabric=data.get("fabric", "optimized"),
             trace=(
                 TraceSpec.from_dict(data["trace"])
                 if data.get("trace") is not None
@@ -221,7 +212,6 @@ def build_system_config(spec: SimSpec) -> SystemConfig:
         num_pillars=spec.pillars,
         num_cpus=spec.num_cpus,
         mode=spec.mode,
-        noc_fabric=spec.fabric,
         faults=spec.faults,
         fault_seed=spec.seed,
     )

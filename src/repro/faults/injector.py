@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.noc.routing import Coord, Port
-from repro.noc.fabric import FabricKind
 from repro.faults.spec import FaultEvent, FaultSpec, mesh_link_targets
 from repro.faults.state import FaultState
 from repro.faults.watchdog import LivenessWatchdog
@@ -176,20 +175,7 @@ def install_network_faults(
             stats=stats if stats is not None else network.stats,
             tracer=tracer if tracer is not None else network.tracer,
         )
-        if getattr(network, "fabric", None) is FabricKind.VECTOR:
-            non_bank = sorted({e.kind for e in resolved} - {"bank"})
-            if non_bank:
-                raise ValueError(
-                    f"fabric='vector' cannot honor {', '.join(non_bank)} "
-                    "fault(s): pillar/link/router_port faults require "
-                    "fabric='optimized' (the vector fabric batches router "
-                    "and pillar state); bank faults work on any fabric"
-                )
-            # Bank-only schedule: the faults live in the cache layer, so
-            # the batched fabric itself stays fault-free and nothing is
-            # attached to the network.
-        else:
-            network.attach_fault_state(state)
+        network.attach_fault_state(state)
         injector = FaultInjector(
             network.engine,
             state,

@@ -98,16 +98,6 @@ class LivenessWatchdog:
         # in-flight accounting held above the fabric (a requester waiting
         # out an idle gap) would read a fast-forwarded window as a stall.
         skipped = network.engine.fast_forwarded_cycles
-        vector = getattr(network, "_vector", None)
-        if vector is not None:
-            # The SoA fabric has no per-router objects; its aggregate
-            # counters provide the same three progress signals.
-            return (
-                network.completed_packets,
-                vector.flits_forwarded,
-                vector.bus_transfers,
-                skipped,
-            )
         forwarded = sum(
             router.forwarded_flits for router in network.routers.values()
         )
@@ -119,18 +109,6 @@ class LivenessWatchdog:
     def stalled_components(self) -> list[str]:
         """Names of components currently holding undelivered traffic."""
         network = self.network
-        vector = getattr(network, "_vector", None)
-        if vector is not None:
-            stalled = []
-            if vector.buffered_flits > 0:
-                stalled.append(f"vector-mesh(flits={vector.buffered_flits})")
-            for pillar in vector._pillars:
-                if pillar.occupancy > 0:
-                    px, py = pillar.xy
-                    stalled.append(f"pillar({px},{py})")
-            if vector._inj_pending > 0:
-                stalled.append(f"vector-nics(pending={vector._inj_pending})")
-            return stalled
         stalled = []
         for coord, router in sorted(network.routers.items()):
             if router.buffered_flits() > 0:

@@ -49,6 +49,10 @@ class NetworkConfig:
     def validate(self) -> None:
         if self.width < 1 or self.height < 1 or self.layers < 1:
             raise ValueError("network dimensions must be positive")
+        for name in ("num_vcs", "vc_depth", "link_latency"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.layers > 1 and not self.pillar_locations:
             raise ValueError("multi-layer networks require pillars")
         for x, y in self.pillar_locations:
@@ -136,7 +140,6 @@ class Network:
         # near the in-flight population, not the run total.
         self._age_ring: deque[Packet] = deque()
         self._inflight_created_sum = 0
-        self._vector = None
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -144,60 +147,8 @@ class Network:
     def _build(self) -> None:
         if self.fabric is FabricKind.REFERENCE:
             self._build_reference()
-        elif self.fabric is FabricKind.VECTOR:
-            self._build_vector()
         else:
             self._build_optimized()
-
-    def _build_vector(self) -> None:
-        from repro.noc.vector import VectorFabric  # local: vector only
-
-        if self.tracer.enabled:
-            raise ValueError(
-                "tracing requires an object fabric "
-                "(fabric='optimized'); the vector fabric batches router "
-                "state and has no per-object probe points"
-            )
-        self._link_pipeline = None
-        self._vector = VectorFabric(self, self.config, self.engine, self.stats)
-        self.engine.register(self._vector)
-        if self.config.layers > 1:
-            self._build_pillar_table()
-
-    def _build_pillar_table(self) -> None:
-        """Precompute ``best_pillar`` for every (src, dest) xy pair.
-
-        The object fabrics call :func:`best_pillar` per packet (and must,
-        because the live fault map can shrink the pillar set mid-run);
-        the vector fabric never carries pillar faults, so the choice is a
-        pure function of the two in-plane positions and one table gather
-        replaces the per-packet ``min``.  The key encodes the exact
-        ``best_pillar`` tie-break: total path length, then distance to
-        the pillar, then pillar coordinate order.
-        """
-        import numpy as np
-
-        cfg = self.config
-        width, height = cfg.width, cfg.height
-        flat = np.arange(width * height)
-        fx, fy = flat % width, flat // width
-        pillars = list(cfg.pillar_locations)
-        by_coord = sorted(range(len(pillars)), key=lambda i: pillars[i])
-        distance_scale = 4 * (width + height)
-        best = np.full((flat.size, flat.size), 1 << 60, np.int64)
-        choice = np.zeros((flat.size, flat.size), np.int64)
-        for rank, index in enumerate(by_coord):
-            px, py = pillars[index]
-            to_pillar = (np.abs(fx - px) + np.abs(fy - py))[:, None]
-            from_pillar = (np.abs(fx - px) + np.abs(fy - py))[None, :]
-            key = (
-                (to_pillar + from_pillar) * distance_scale + to_pillar
-            ) * len(pillars) + rank
-            better = key < best
-            best = np.where(better, key, best)
-            choice = np.where(better, index, choice)
-        self._pillar_choice = choice.astype(np.int16)
-        self._pillar_tuples = pillars
 
     def _build_optimized(self) -> None:
         cfg = self.config
@@ -332,12 +283,6 @@ class Network:
                 "fault injection requires the optimized fabric; the frozen "
                 "reference is the zero-fault differential oracle"
             )
-        if self.fabric is FabricKind.VECTOR:
-            raise ValueError(
-                "pillar/link/router_port faults require fabric='optimized' "
-                "(the vector fabric batches router and pillar state and "
-                "honors only bank faults)"
-            )
         self._faults = state
         state.on_packet_lost = self._on_packet_lost
         state.add_listener(self._on_fault_change)
@@ -366,8 +311,6 @@ class Network:
         self._retire_age(packet)
 
     def _retire_age(self, packet: Packet) -> None:
-        if self._vector is not None:
-            return  # the fabric's side table tracks ages
         self._inflight_created_sum -= packet.created_cycle
         ring = self._age_ring
         while ring and (ring[0].ejected_cycle is not None or ring[0].lost):
@@ -391,24 +334,11 @@ class Network:
         """
         if src == dest:
             raise ValueError("source and destination must differ")
-        if self._vector is not None:
-            if not (self._valid_coord(src) and self._valid_coord(dest)):
-                raise ValueError(f"unknown endpoint {src} or {dest}")
-        elif src not in self.nics or dest not in self.routers:
+        if src not in self.nics or dest not in self.routers:
             raise ValueError(f"unknown endpoint {src} or {dest}")
         faults = self._faults
         pillar_xy = None
-        if src.z != dest.z and self._vector is not None:
-            # Fault-free by construction (the vector fabric refuses
-            # mesh/pillar fault schedules), so the precomputed table is
-            # always valid.
-            width = self.config.width
-            pillar_xy = self._pillar_tuples[
-                self._pillar_choice[
-                    src.y * width + src.x, dest.y * width + dest.x
-                ]
-            ]
-        elif src.z != dest.z:
+        if src.z != dest.z:
             pillars = list(self.config.pillar_locations)
             if faults is not None and faults.dead_pillars:
                 pillars = [
@@ -438,48 +368,10 @@ class Network:
             ids=self.ids,
         )
         self._in_flight += 1
-        if self._vector is not None:
-            # The fabric's SoA side table handles age accounting.
-            self._vector.inject(packet)
-        else:
-            self.nics[src].inject(packet)
-            self._age_ring.append(packet)
-            self._inflight_created_sum += packet.created_cycle
+        self.nics[src].inject(packet)
+        self._age_ring.append(packet)
+        self._inflight_created_sum += packet.created_cycle
         return packet
-
-    def try_send_batch(self, src_index, dest_index, size_flits=None):
-        """Batched object-free injection; ``None`` when unavailable.
-
-        ``src_index``/``dest_index`` are parallel integer arrays of flat
-        node indexes (the :meth:`coords` order) with ``src != dest``
-        elementwise.  Only the vector fabric supports it; callers fall
-        back to scalar :meth:`send` on ``None``.
-        """
-        if self._vector is None:
-            return None
-        count = self._vector.inject_batch(
-            src_index, dest_index, size_flits or self.config.packet_flits
-        )
-        self._in_flight += count
-        return count
-
-    def _on_packet_light(self) -> None:
-        """Delivery of a batch-injected packet (no ``Packet`` object)."""
-        self._in_flight -= 1
-        self._completed += 1
-
-    def _on_packet_light_batch(self, count: int) -> None:
-        """Bulk form of :meth:`_on_packet_light` for the vector fabric."""
-        self._in_flight -= count
-        self._completed += count
-
-    def _valid_coord(self, coord: Coord) -> bool:
-        cfg = self.config
-        return (
-            0 <= coord.x < cfg.width
-            and 0 <= coord.y < cfg.height
-            and 0 <= coord.z < cfg.layers
-        )
 
     @property
     def in_flight(self) -> int:
@@ -490,11 +382,6 @@ class Network:
     def completed_packets(self) -> int:
         """Packets that finished — delivered or dropped by a fault."""
         return self._completed
-
-    @property
-    def vector_fabric(self):
-        """The batched SoA component, or ``None`` on object fabrics."""
-        return self._vector
 
     def quiesce(self, max_cycles: int = 1_000_000) -> int:
         """Run the clock until every in-flight packet is delivered."""
@@ -547,8 +434,6 @@ class Network:
         congested run: delivered-only latency falls at saturation while
         these ages grow without bound.
         """
-        if self._vector is not None:
-            return self._vector.in_flight_ages()
         now = self.engine.cycle
         ring = self._age_ring
         while ring and (ring[0].ejected_cycle is not None or ring[0].lost):

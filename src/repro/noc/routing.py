@@ -173,32 +173,6 @@ def fault_aware_route(
     return None
 
 
-def compute_route_table(width: int, height: int):
-    """Dense in-plane routing table as a numpy ``int8`` array.
-
-    ``table[cur, tgt]`` is the ``PORT_INDEX`` of
-    ``xy_route(cur, tgt_x, tgt_y)`` with both nodes addressed by their
-    flat in-plane index ``y * width + x``.  The vector fabric looks up
-    every head flit's next port with one fancy-indexed gather instead of
-    calling :func:`dimension_order_route` per flit; callers steering a
-    cross-layer packet pass the pillar's flat index as ``tgt`` and remap
-    a ``LOCAL`` result (at the pillar) to ``VERTICAL`` themselves.
-    """
-    import numpy as np
-
-    nodes = width * height
-    flat = np.arange(nodes)
-    cur_x, cur_y = (flat % width)[:, None], (flat // width)[:, None]
-    tgt_x, tgt_y = (flat % width)[None, :], (flat // width)[None, :]
-    table = np.full((nodes, nodes), PORT_INDEX[Port.LOCAL], dtype=np.int8)
-    # Y-ports first, then X-first preference overwrites where x differs.
-    table[cur_y < tgt_y] = PORT_INDEX[Port.NORTH]
-    table[cur_y > tgt_y] = PORT_INDEX[Port.SOUTH]
-    table[cur_x < tgt_x] = PORT_INDEX[Port.EAST]
-    table[cur_x > tgt_x] = PORT_INDEX[Port.WEST]
-    return table
-
-
 def best_pillar(
     src: Coord,
     dest: Coord,

@@ -129,12 +129,6 @@ class UniformRandomTraffic(TrafficGenerator):
             redraw = self.rng.integers(count, size=collide.size)
             dests[collide] = redraw
             collide = collide[redraw == hits[collide]]
-        sent = self.network.try_send_batch(
-            hits, dests, size_flits=self.size_flits
-        )
-        if sent is not None:
-            self.packets_sent += sent
-            return
         send = self.network.send
         for src_index, dest_index in zip(hits.tolist(), dests.tolist()):
             send(

@@ -55,7 +55,6 @@ SEARCH_PLAN = 7
 MIGRATION = 8
 COHERENCE = 9
 FAULT = 10
-VECTOR_OCCUPANCY = 11
 
 EVENT_NAMES = {
     PACKET_INJECT: "packet_inject",
@@ -69,7 +68,6 @@ EVENT_NAMES = {
     MIGRATION: "migration",
     COHERENCE: "coherence",
     FAULT: "fault",
-    VECTOR_OCCUPANCY: "vector_occupancy",
 }
 
 # Field names for the per-kind payload (event tuple positions 3..).
@@ -85,7 +83,6 @@ _FIELDS = {
     MIGRATION: ("line", "src_cluster", "dest_cluster"),
     COHERENCE: ("kind", "line", "targets"),
     FAULT: ("kind", "target", "phase"),
-    VECTOR_OCCUPANCY: ("occupied_vcs", "active_lanes"),
 }
 
 
@@ -139,9 +136,6 @@ class Tracer:
         pass
 
     def fault(self, ts, track, kind, target, phase):
-        pass
-
-    def vector_occupancy(self, ts, track, occupied_vcs, active_lanes):
         pass
 
 
@@ -280,12 +274,6 @@ class RingTracer(Tracer):
         if self._track_on[track]:
             self._append((ts, FAULT, track, kind, target, phase))
 
-    def vector_occupancy(self, ts, track, occupied_vcs, active_lanes):
-        if self._track_on[track]:
-            self._append(
-                (ts, VECTOR_OCCUPANCY, track, occupied_vcs, active_lanes)
-            )
-
 
 @dataclass(frozen=True)
 class TraceSpec:
@@ -370,8 +358,6 @@ def _chrome_slice(kind: int, payload: tuple) -> tuple[str, str, dict]:
         return f"coherence {payload[0]}", "coherence", args
     if kind == FAULT:
         return f"fault {payload[0]} {payload[1]} {payload[2]}", "fault", args
-    if kind == VECTOR_OCCUPANCY:
-        return f"occ {payload[0]} lanes {payload[1]}", "noc", args
     raise ValueError(f"unknown event kind {kind}")
 
 

@@ -51,8 +51,7 @@ GRID = [
 ]
 
 CYCLE_GRID = [
-    SimSpec.make(scheme, "art", scale=CYCLE_SCALE, mode="cycle",
-                 fabric="optimized")
+    SimSpec.make(scheme, "art", scale=CYCLE_SCALE, mode="cycle")
     for scheme in (Scheme.CMP_DNUCA, Scheme.CMP_DNUCA_3D)
 ]
 

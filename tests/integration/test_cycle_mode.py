@@ -8,12 +8,6 @@ from repro.cache.nuca import AccessType
 from repro.core.schemes import Scheme
 from repro.core.system import NetworkInMemory, SystemConfig
 from repro.cpu.trace import OP_READ
-from tests.vector_paths import (
-    ALWAYS_BATCHED,
-    ALWAYS_SCALAR,
-    assert_pinned,
-    pin_crossover,
-)
 
 
 @pytest.fixture(scope="module")
@@ -108,38 +102,3 @@ def test_cycle_mode_runs_a_small_trace():
     stats = system.run_trace(traces)
     assert stats.l2_accesses == 16
     assert stats.avg_l2_miss_latency > system.config.memory_latency
-
-
-def test_cycle_mode_vector_identical_across_sparse_thresholds():
-    """End-to-end: the scalar/batched switch is invisible to RunStats.
-
-    Cycle mode prices transactions leg-at-a-time, so the vector fabric
-    spends the whole run at or near zero occupancy — the exact regime
-    the sparse path serves.  Pinning the threshold to the extremes must
-    leave every system-level statistic untouched.
-    """
-    traces = [
-        [(2, OP_READ, 0x1000 + cpu * 0x40), (2, OP_READ, 0x9000 + cpu * 0x40)]
-        for cpu in range(8)
-    ]
-    results = []
-    for threshold in (ALWAYS_BATCHED, ALWAYS_SCALAR):
-        with pin_crossover(threshold) as steps:
-            system = NetworkInMemory(
-                SystemConfig(
-                    scheme=Scheme.CMP_DNUCA_3D,
-                    mode="cycle",
-                    noc_fabric="vector",
-                )
-            )
-            stats = system.run_trace([list(t) for t in traces])
-        assert_pinned(steps, threshold)
-        results.append(
-            (
-                stats.l2_accesses,
-                stats.l2_hits,
-                stats.avg_l2_hit_latency,
-                stats.avg_l2_miss_latency,
-            )
-        )
-    assert results[0] == results[1]

@@ -14,13 +14,11 @@ and deadlock the fabric against its own credit loop.
 The fix partitions VC classes (``NetworkConfig.vc_split``): cross-layer
 packets may only occupy the low VC window before their pillar hop,
 leaving the high window free for intra-layer delivery.  This test locks
-in the fixed behaviour on every fabric: stop injecting, and the backlog
-must reach zero with ``delivered_fraction`` == 1.0.
+in the fixed behaviour: stop injecting, and the backlog must reach zero
+with ``delivered_fraction`` == 1.0.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.traffic import UniformRandomTraffic
@@ -32,20 +30,17 @@ SEED = 7
 DRAIN_BUDGET = 5_000
 
 
-def _build(fabric):
+def _build():
     config = NetworkConfig(
         width=16, height=8, layers=2, pillar_locations=PILLARS
     )
-    network = Network(config, fabric=fabric)
+    network = Network(config)
     traffic = UniformRandomTraffic(network, RATE, seed=SEED)
     return network, traffic
 
 
-@pytest.mark.parametrize("fabric", ["optimized", "vector"])
-def test_medium_load_backlog_drains(fabric):
-    if fabric == "vector":
-        pytest.importorskip("numpy")
-    network, traffic = _build(fabric)
+def test_medium_load_backlog_drains():
+    network, traffic = _build()
     network.engine.run(CYCLES)
 
     backlog = network.in_flight

@@ -28,7 +28,6 @@ from repro.experiments.orchestrator import run_sweep
 from repro.experiments.spec import SimSpec, run_spec
 from repro.faults.injector import install_network_faults
 from repro.faults.spec import FaultEvent, FaultSpec
-from repro.faults.state import FaultState
 from repro.faults.watchdog import DeadlockError
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.routing import Coord
@@ -251,66 +250,3 @@ def test_parallel_sweep_surfaces_deadlock():
     assert summary.simulated == 1
     assert summary.failures[0].kind == "deadlock"
     assert healthy in summary.results
-
-
-# -- vector fabric: bank-only fault support ------------------------------
-#
-# The SoA batch fabric carries no per-router fault state, so network
-# faults (pillar / link / router_port) must be rejected loudly — never
-# silently ignored — while bank faults, which live entirely in the
-# cache layer, install normally.
-
-
-class TestVectorFabricFaultGating:
-    def _network(self):
-        pytest.importorskip("numpy")
-        config = NetworkConfig(
-            width=4, height=4, layers=2, pillar_locations=((1, 1),)
-        )
-        return Network(config, fabric="vector")
-
-    def test_bank_only_spec_installs(self):
-        network = self._network()
-        changes = []
-        harness = install_network_faults(
-            network,
-            FaultSpec(dead_banks=2, watchdog_window=0),
-            SEED,
-            banks=[(0, 0), (1, 1), (2, 2)],
-            on_bank_change=lambda: changes.append(True),
-        )
-        assert harness.state is not None
-        assert harness.injector is not None
-        # The batched fabric itself stays fault-free: nothing attached.
-        assert network._faults is None
-        network.engine.run(5)
-        assert len(changes) == 2
-        assert len(harness.state.dead_banks) == 2
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            FaultSpec(dead_pillars=1, watchdog_window=0),
-            FaultSpec(dead_links=1, watchdog_window=0),
-            FaultSpec(
-                events=(FaultEvent("router_port", (1, 1, 0, "east")),),
-                watchdog_window=0,
-            ),
-            # Mixed schedules are rejected too, even with banks present.
-            FaultSpec(dead_pillars=1, dead_banks=1, watchdog_window=0),
-        ],
-    )
-    def test_network_fault_kinds_raise(self, spec):
-        network = self._network()
-        with pytest.raises(ValueError, match="fabric='vector' cannot honor"):
-            install_network_faults(
-                network, spec, SEED,
-                banks=[(0, 0), (1, 1)],
-                on_bank_change=lambda: None,
-            )
-
-    def test_attach_fault_state_raises_directly(self):
-        network = self._network()
-        state = FaultState()
-        with pytest.raises(ValueError, match="fabric='optimized'"):
-            network.attach_fault_state(state)

@@ -102,52 +102,3 @@ def test_packet_ids_restart_per_network():
         collected.append(packet.packet_id)
         network.quiesce()
     assert first_ids == second_ids == [0, 1]
-
-
-# -- vector fabric: distribution-level differential -----------------------
-#
-# The SoA batch fabric arbitrates all routers in one global two-stage
-# pass instead of per-router round-robin, so tie-breaks under contention
-# legitimately differ from the object fabrics and bit-identity is not the
-# contract.  The contract is distribution-level: identical injection
-# accounting, exact packet conservation, and delivered counts / latency
-# means within a few percent at every operating point.
-
-np = pytest.importorskip("numpy")
-
-
-def _observables(result):
-    stats = result[0].stats
-    hist = stats.scope("nic").histogram("packet_latency")
-    return {
-        "sent": result[1]["packets_sent"],
-        "received": stats.scope("nic").counter("packets_received").value,
-        "in_flight": result[1]["in_flight"],
-        "latency_mean": hist.mean if hist.count else 0.0,
-    }
-
-
-@pytest.mark.parametrize("rate", [0.002, 0.05, 0.2])
-def test_vector_fabric_distribution_matches(rate):
-    vec = _observables(_drive("vector", rate))
-    opt = _observables(_drive("optimized", rate))
-    # Same injection sequence, exact conservation on both fabrics.
-    assert vec["sent"] == opt["sent"]
-    assert vec["received"] + vec["in_flight"] == vec["sent"]
-    assert opt["received"] + opt["in_flight"] == opt["sent"]
-    # Delivered counts within 10% (observed divergence is under 3%).
-    assert vec["received"] == pytest.approx(opt["received"], rel=0.10, abs=5)
-    # Latency means within 15% (observed divergence is under 6%).
-    assert vec["latency_mean"] == pytest.approx(
-        opt["latency_mean"], rel=0.15, abs=2.0
-    )
-
-
-def test_vector_fabric_drains_and_conserves():
-    network, observed = _drive("vector", 0.05, cycles=200)
-    network.quiesce(max_cycles=200_000)
-    assert network.in_flight == 0
-    assert network.delivered_fraction() == 1.0
-    received = network.stats.scope("nic").counter("packets_received").value
-    assert received == observed["packets_sent"]
-    assert network.vector_fabric.check_invariants() == []

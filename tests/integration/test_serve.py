@@ -118,6 +118,15 @@ class TestSurface:
             "specs": [{"benchmark": "art"}],
         })
         assert status == 400
+        # A spec naming a fabric other than the optimized one must not
+        # run as a different cell.
+        stale = {**make_spec(mode="cycle").to_dict(), "fabric": "vector"}
+        status, _, body = client._request("POST", "/jobs", {
+            "protocol_version": PROTOCOL_VERSION, "specs": [stale],
+        })
+        assert status == 400
+        assert body["error"]["kind"] == "bad_request"
+        assert "'vector'" in body["error"]["message"]
 
     def test_protocol_skew_is_structured_400(self, live_server):
         """A peer from another protocol revision fails loudly, not quietly."""

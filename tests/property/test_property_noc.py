@@ -1,7 +1,5 @@
 """Property-based tests for the cycle-accurate network fabric."""
 
-import pytest
-
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.network import Network, NetworkConfig
@@ -96,58 +94,3 @@ def test_best_pillar_minimizes_detour(src, dest):
             + abs(dest.x - px) + abs(dest.y - py)
         )
         assert chosen_cost <= other
-
-
-# -- vector fabric vs object fabric on random small meshes ----------------
-
-mesh_dims = st.tuples(
-    st.integers(2, 4),   # width
-    st.integers(2, 4),   # height
-    st.integers(1, 2),   # layers
-)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    dims=mesh_dims,
-    seed=st.integers(0, 2**16),
-    count=st.integers(1, 15),
-)
-def test_vector_delivers_same_count_as_optimized(dims, seed, count):
-    """Identical sends on a random mesh: both fabrics deliver everything.
-
-    The vector fabric's arbitration order differs, so per-packet timing
-    may diverge — but after a quiesce the delivered count must match the
-    object fabric exactly and nothing may remain in flight.
-    """
-    import random
-
-    pytest.importorskip("numpy")
-    width, height, layers = dims
-    pillar = (width // 2, height // 2)
-    delivered = {}
-    for fabric in ("optimized", "vector"):
-        rng = random.Random(seed)
-        network = Network(
-            NetworkConfig(
-                width=width, height=height, layers=layers,
-                pillar_locations=(pillar,),
-            ),
-            fabric=fabric,
-        )
-        nodes = list(network.coords())
-        sent = 0
-        for __ in range(count):
-            src, dest = rng.sample(nodes, 2)
-            network.send(src, dest)
-            sent += 1
-        network.quiesce(max_cycles=200_000)
-        assert network.in_flight == 0
-        assert network.delivered_fraction() == 1.0
-        received = (
-            network.stats.scope("nic").counter("packets_received").value
-        )
-        delivered[fabric] = (sent, received)
-    assert delivered["vector"] == delivered["optimized"]
-    sent, received = delivered["vector"]
-    assert received == sent

@@ -99,29 +99,6 @@ class TestCommands:
         assert payload["stats"]["scheme"] == "CMP-DNUCA-3D"
         assert payload["stats"]["l2_hits"] > 0
 
-    def test_run_fabric_auto_reports_resolution(self, capsys):
-        assert main(
-            ["run", "--benchmark", "art", "--refs", "1500",
-             "--fabric", "auto", "--json"]
-        ) == 0
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        resolution = payload["fabric_resolution"]
-        assert resolution["requested"] == "auto"
-        # Model-mode runs resolve to the optimized object fabric; the
-        # concrete name — never "auto" — is what the spec records.
-        assert resolution["resolved"] == "optimized"
-        assert resolution["reason"]
-        assert payload["spec"].get("fabric", "optimized") == "optimized"
-        assert "fabric: auto -> optimized" in captured.err
-
-    def test_run_concrete_fabric_omits_resolution(self, capsys):
-        assert main(
-            ["run", "--benchmark", "art", "--refs", "1500", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "fabric_resolution" not in payload
-
     def test_experiments_table2(self, capsys):
         assert main(["experiments", "table2"]) == 0
         assert "Table 2" in capsys.readouterr().out

@@ -32,6 +32,22 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(width=0, height=4, layers=1).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_vcs", 0),
+        ("vc_depth", 0),
+        ("link_latency", 0),
+        ("link_latency", -5),
+    ])
+    def test_rejects_empty_buffers_and_instant_links(self, field, value):
+        # Unchecked, each fails late or silently: an empty VC stalls
+        # the drain, and a link under one cycle runs as a 1-cycle link.
+        config = NetworkConfig(width=4, height=4, layers=1,
+                               **{field: value})
+        with pytest.raises(ValueError, match=field):
+            config.validate()
+        with pytest.raises(ValueError, match=field):
+            Network(config)
+
     def test_node_counts(self):
         config = NetworkConfig(width=4, height=3, layers=2,
                                pillar_locations=((1, 1),))

@@ -26,6 +26,21 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             SimSpec.from_dict(data)
 
+    @pytest.mark.parametrize("fabric", ["vector", "reference", "auto"])
+    def test_stale_fabric_rejected(self, fabric):
+        # A spec naming any fabric but the optimized one is refused at
+        # the boundary instead of running as a different cell.
+        data = make_spec(mode="cycle").to_dict()
+        data["fabric"] = fabric
+        with pytest.raises(ValueError, match=repr(fabric)):
+            SimSpec.from_dict(data)
+
+    def test_optimized_fabric_key_accepted(self):
+        spec = make_spec(mode="cycle")
+        data = spec.to_dict()
+        data["fabric"] = "optimized"
+        assert SimSpec.from_dict(data) == spec
+
     def test_make_fills_ambient_scale_and_seed(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         spec = SimSpec.make(Scheme.CMP_DNUCA_2D, "swim")
@@ -53,6 +68,16 @@ class TestHashing:
         hashes = {spec.spec_hash() for spec in variants}
         assert base.spec_hash() not in hashes
         assert len(hashes) == len(variants)
+
+    def test_hashes_pinned(self):
+        # Literal cache keys: a field added or removed without care
+        # would move them and orphan every cached artifact.
+        assert make_spec().spec_hash() == (
+            "ca191bc7ad605928929e9bd9182ca2dd36ae00567c4db26ecfc5656177683787"
+        )
+        assert make_spec(mode="cycle").spec_hash() == (
+            "f0023d5331c7a758b1d3fda8d7b3576e3f0aefe92a7e9e4869b488dc5775edc6"
+        )
 
     def test_specs_usable_as_dict_keys(self):
         results = {make_spec(): 1, make_spec(benchmark="swim"): 2}
@@ -85,28 +110,6 @@ class TestHashing:
             ),
         )
         assert SimSpec.from_dict(spec.to_dict()) == spec
-
-
-class TestAutoFabric:
-    def test_auto_resolves_to_vector_for_cycle_mode(self):
-        pytest.importorskip("numpy")
-        spec = make_spec(mode="cycle", fabric="auto")
-        assert spec.fabric == "vector"
-
-    def test_auto_resolves_to_optimized_for_model_mode(self):
-        spec = make_spec(fabric="auto")
-        assert spec.fabric == "optimized"
-
-    def test_auto_is_never_serialized(self):
-        # Hash stability: the sentinel resolves at construction, so two
-        # specs that resolve to the same concrete fabric are the *same*
-        # cell — "auto" never reaches to_dict() or the cache key.
-        pytest.importorskip("numpy")
-        auto = make_spec(mode="cycle", fabric="auto")
-        concrete = make_spec(mode="cycle", fabric="vector")
-        assert auto == concrete
-        assert auto.spec_hash() == concrete.spec_hash()
-        assert "auto" not in auto.to_dict().values()
 
 
 class TestSeeding:
