@@ -7,13 +7,16 @@ instruction fetch misses the L1 and must wait for the L2 (or memory).
 Stores are write-through but buffered, so they do not stall the pipeline.
 """
 
-from repro.cpu.trace import OP_READ, OP_WRITE, OP_IFETCH, TraceEvent, op_name
+from repro.cpu.trace import (
+    OP_READ, OP_WRITE, OP_IFETCH, Trace, TraceEvent, op_name,
+)
 from repro.cpu.core import InOrderCore
 
 __all__ = [
     "OP_READ",
     "OP_WRITE",
     "OP_IFETCH",
+    "Trace",
     "TraceEvent",
     "op_name",
     "InOrderCore",

@@ -28,6 +28,13 @@ class ExperimentScale:
     seed: int = 2006
 
     def __post_init__(self) -> None:
+        # Every CPU needs a trace; checked here so that a bad size fails
+        # before a cell builds its system, and a submitted spec gets a 400.
+        refs = self.refs_per_cpu
+        if isinstance(refs, bool) or not isinstance(refs, int) or refs < 1:
+            raise ValueError(
+                f"refs_per_cpu must be an int of at least 1, got {refs!r}"
+            )
         # At 1 or above the whole trace is warm-up and nothing is
         # measured; below 0 the warm-up count goes negative.
         if not 0.0 <= self.warmup_fraction < 1.0:

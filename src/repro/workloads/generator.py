@@ -20,8 +20,9 @@ Generates per-CPU traces with the structure of an OpenMP scientific code
 * **instruction fetches** walk a small per-CPU code loop.
 
 All sampling is vectorized with numpy and fully deterministic given the
-seed.  Events come out as ``(gap, op, address)`` tuples (see
-:mod:`repro.cpu.trace`).
+seed.  Each CPU's trace is a :class:`~repro.cpu.trace.Trace`, whose
+gap, op and address columns are copied from the sampled int64 arrays;
+iterating it yields ``(gap, op, address)`` events.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.rng import make_rng
-from repro.cpu.trace import OP_READ, OP_WRITE, OP_IFETCH, TraceEvent
+from repro.cpu.trace import OP_READ, OP_WRITE, OP_IFETCH, Trace
 from repro.workloads.benchmarks import BenchmarkProfile, get_benchmark
 
 # Disjoint address regions (byte addresses).
@@ -75,7 +76,7 @@ class SyntheticWorkload:
 
     # -- trace construction ------------------------------------------------------
 
-    def cpu_trace(self, cpu_id: int) -> list[TraceEvent]:
+    def cpu_trace(self, cpu_id: int) -> Trace:
         """Generate the full reference trace for one CPU."""
         if not 0 <= cpu_id < self.num_cpus:
             raise ValueError(f"cpu {cpu_id} out of range")
@@ -136,9 +137,9 @@ class SyntheticWorkload:
         ops[is_write] = OP_WRITE
         ops[is_ifetch] = OP_IFETCH
 
-        return list(zip(gaps.tolist(), ops.tolist(), addresses.tolist()))
+        return Trace(gaps, ops, addresses)
 
-    def traces(self) -> list[list[TraceEvent]]:
+    def traces(self) -> list[Trace]:
         """Traces for all CPUs (the input to ``NetworkInMemory.run_trace``)."""
         return [self.cpu_trace(cpu) for cpu in range(self.num_cpus)]
 

@@ -127,6 +127,17 @@ class TestSurface:
         assert status == 400
         assert body["error"]["kind"] == "bad_request"
         assert "'vector'" in body["error"]["message"]
+        # A spec with no references per CPU is refused at submission, not
+        # failed later as a cell.
+        for refs in (0, -5):
+            spec = make_spec().to_dict()
+            spec["scale"] = {**spec["scale"], "refs_per_cpu": refs}
+            status, _, body = client._request("POST", "/jobs", {
+                "protocol_version": PROTOCOL_VERSION, "specs": [spec],
+            })
+            assert status == 400
+            assert body["error"]["kind"] == "bad_request"
+            assert f"got {refs}" in body["error"]["message"]
 
     def test_protocol_skew_is_structured_400(self, live_server):
         """A peer from another protocol revision fails loudly, not quietly."""

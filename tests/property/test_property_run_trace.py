@@ -5,7 +5,8 @@
 ``heappushpop`` per reference, and the retire arithmetic of the former
 ``InOrderCore.retire_gap``/``retire_reference`` (kept here as
 `retire_gap` and `retire_reference`).  Run on twin systems, the two loops
-must leave every reported statistic and every core's accounting equal.
+must leave every reported statistic and every core's accounting equal,
+and a generated ``Trace`` must replay as its events in lists do.
 """
 
 import heapq
@@ -179,6 +180,28 @@ def test_warmup_at_total_resets_every_stat():
     stats = system.run_trace(per_cpu, warmup_events=total)
     assert stats.instructions == 0 and stats.l2_accesses == 0
     assert all(core.clock > 0 for core in system.cores)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CMP_DNUCA, Scheme.CMP_DNUCA_3D])
+def test_generated_traces_replay_as_their_events(scheme):
+    """A generated ``Trace`` replays exactly as its events in lists do.
+
+    Both loops consume the same ``Trace`` objects, so each ``iter()``
+    must start a fresh pass; warm-up ends mid-trace.
+    """
+    per_cpu = SyntheticWorkload(
+        "swim", num_cpus=NUM_CPUS, refs_per_cpu=300, seed=2006
+    ).traces()
+    warmup = 300 * NUM_CPUS // 2 + 7
+    assert_loops_agree(scheme, per_cpu, warmup)
+    columns = NetworkInMemory(SystemConfig(scheme=scheme))
+    lists = NetworkInMemory(SystemConfig(scheme=scheme))
+    got = columns.run_trace(per_cpu, warmup_events=warmup)
+    want = lists.run_trace(
+        [list(trace) for trace in per_cpu], warmup_events=warmup
+    )
+    assert got.to_dict() == want.to_dict()
+    assert core_state(columns) == core_state(lists)
 
 
 @pytest.mark.parametrize("warmup", [200 * NUM_CPUS + 5, 10**9])

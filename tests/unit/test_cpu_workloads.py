@@ -1,5 +1,10 @@
 """Unit tests for the CPU model and the synthetic workload generators."""
 
+import hashlib
+import json
+from array import array
+
+import numpy as np
 import pytest
 
 from repro.cpu.core import InOrderCore
@@ -7,6 +12,7 @@ from repro.cpu.trace import (
     OP_IFETCH,
     OP_READ,
     OP_WRITE,
+    Trace,
     op_name,
     validate_trace,
 )
@@ -172,3 +178,70 @@ class TestSyntheticWorkload:
             SyntheticWorkload("art", num_cpus=0)
         with pytest.raises(ValueError):
             SyntheticWorkload("art", refs_per_cpu=0)
+
+
+# sha256 of ``json.dumps(list(trace))`` for 2000-reference traces, as
+# generated when a trace was a list of tuples: the columns must replay
+# exactly those events.
+PINNED_TRACES = [
+    pytest.param(
+        "swim", 2006, 0,
+        "bc4cc015826e5d4ed4613e9e671ce618a7315e3ac4ff53e02e18a841e68aa3a0",
+        id="swim-2006-cpu0",
+    ),
+    pytest.param(
+        "art", 4242, 3,
+        "da2f8033584bbeb1e09915cca31ee8a490c3014aba9888b599f9a55a341d94d8",
+        id="art-4242-cpu3",
+    ),
+]
+
+
+class TestTraceContract:
+    """What ``run_trace``, the tests and the benchmark rely on."""
+
+    @pytest.mark.parametrize("name, seed, cpu, digest", PINNED_TRACES)
+    def test_events_match_pinned_digest(self, name, seed, cpu, digest):
+        trace = SyntheticWorkload(
+            name, refs_per_cpu=2000, seed=seed
+        ).cpu_trace(cpu)
+        events = json.dumps(list(trace)).encode()
+        assert hashlib.sha256(events).hexdigest() == digest
+
+    def test_events_are_tuples_of_plain_ints(self):
+        # A numpy scalar would turn run_trace's clocks into numpy floats.
+        for event in SyntheticWorkload("swim", refs_per_cpu=500).cpu_trace(1):
+            assert type(event) is tuple and len(event) == 3
+            assert all(type(value) is int for value in event)
+
+    def test_len_and_equality_as_for_lists(self):
+        def trace(seed, cpu=0):
+            return SyntheticWorkload(
+                "mgrid", refs_per_cpu=200, seed=seed
+            ).cpu_trace(cpu)
+
+        a, same, other = trace(5), trace(5), trace(6)
+        assert len(a) == 200
+        assert a == same and not a != same
+        assert a != other and not a == other
+        assert a != trace(5, cpu=1)
+
+    def test_each_iteration_is_a_fresh_pass(self):
+        trace = SyntheticWorkload("art", refs_per_cpu=300).cpu_trace(2)
+        first = list(trace)
+        assert len(first) == 300
+        assert list(trace) == first
+
+    def test_columns_hold_at_most_24_bytes_per_event(self):
+        trace = SyntheticWorkload("art", refs_per_cpu=1000).cpu_trace(0)
+        columns = (trace.gaps, trace.ops, trace.addresses)
+        held = sum(column.itemsize * len(column) for column in columns)
+        assert held <= 24 * len(trace)
+
+    def test_columns_must_be_equal_length_int64_buffers(self):
+        ints = np.arange(4, dtype=np.int64)
+        assert list(Trace(ints, ints, array("q", range(4))))[3] == (3, 3, 3)
+        with pytest.raises(TypeError, match="'i' of 4 bytes"):
+            Trace(ints, ints, ints.astype(np.int32))
+        with pytest.raises(ValueError, match="4 gaps, 3 ops, 4 addresses"):
+            Trace(ints, ints[:3], ints)

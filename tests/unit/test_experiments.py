@@ -48,12 +48,21 @@ class TestScales:
         assert scale.warmup_events_for(4) == 2000
         assert scale.warmup_events_for(16) == 8000
 
-    @pytest.mark.parametrize("fraction", [1.5, 1.0, -0.5, float("nan")])
-    def test_warmup_fraction_outside_unit_interval_rejected(self, fraction):
-        with pytest.raises(ValueError, match=re.escape(f"got {fraction!r}")):
-            ExperimentScale(
-                name="x", refs_per_cpu=300, warmup_fraction=fraction
-            )
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param("warmup_fraction", fraction, id=repr(fraction))
+          for fraction in (1.5, 1.0, -0.5, float("nan"))),
+        # An empty or malformed trace size fails here too, before any
+        # system is built for the cell.
+        *(pytest.param("refs_per_cpu", refs, id=f"refs_per_cpu={refs!r}")
+          for refs in (0, -5, 2.5, "300", True, None)),
+    ])
+    def test_warmup_fraction_outside_unit_interval_rejected(
+        self, field, value
+    ):
+        sizing = {"refs_per_cpu": 300, "warmup_fraction": 0.6, field: value}
+        message = rf"^{field} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentScale(name="x", **sizing)
 
     def test_scale_round_trips(self):
         scale = ExperimentScale(
