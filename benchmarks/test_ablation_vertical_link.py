@@ -68,8 +68,8 @@ def test_ablation_bus_contention_bound(once):
         return net.pillars[(1, 1)], packets
 
     bus, packets = once(run)
-    transfers = bus.stats.scope("bus").counter("flit_transfers").value
-    busy = bus.stats.scope("bus").counter("busy_cycles").value
+    transfers = bus.stats.snapshot()["pillar.1.1.bus.flit_transfers"]
+    busy = bus.stats.snapshot()["pillar.1.1.bus.busy_cycles"]
     assert transfers == 16
     assert busy == transfers  # one flit per cycle, never more
     assert all(p.ejected_cycle is not None for p in packets)

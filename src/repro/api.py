@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.core.system import RunStats, SystemConfig
+from repro.core.system import RunStats
 from repro.experiments.orchestrator import (
     ResultCache,
     SweepSummary,
@@ -72,7 +72,6 @@ def run(
     *,
     use_cache: bool = False,
     cache_dir: Optional[str] = None,
-    system_config: Optional[SystemConfig] = None,
     **spec_kwargs,
 ) -> CellResult:
     """Run one simulation cell and return its typed result.
@@ -81,9 +80,7 @@ def run(
     (plus any :meth:`SimSpec.make` overrides) to build one here.  With
     ``use_cache`` the cell goes through the same content-addressed store
     the orchestrator uses: a hit skips the simulation (``cached=True``),
-    a miss simulates and persists.  ``system_config`` injects a pre-built
-    configuration for ablations the spec cannot express; such runs bypass
-    the cache (the artifact would not be a pure function of the spec).
+    a miss simulates and persists.
     """
     if spec is None:
         spec = SimSpec.make(**spec_kwargs)
@@ -91,10 +88,6 @@ def run(
         raise TypeError(
             "pass either a prebuilt SimSpec or SimSpec.make() keywords, "
             f"not both (got spec and {sorted(spec_kwargs)})"
-        )
-    if system_config is not None:
-        return CellResult(
-            spec, run_spec(spec, system_config=system_config), cached=False
         )
     cache = ResultCache(cache_dir) if use_cache else None
     if cache is not None:

@@ -45,7 +45,7 @@ import sys
 from repro import api
 from repro.core.chip import ChipConfig
 from repro.core.placement import PlacementPolicy, build_topology
-from repro.core.schemes import Scheme
+from repro.core.schemes import Scheme, make_chip_config
 from repro.power.report import energy_report
 from repro.thermal import simulate_thermal
 from repro.workloads.benchmarks import BENCHMARK_NAMES
@@ -119,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a scheme on a benchmark")
+    run.set_defaults(parser=run)
     run.add_argument("--scheme", type=_scheme, default=Scheme.CMP_DNUCA_3D)
     run.add_argument(
         "--benchmark", choices=BENCHMARK_NAMES, default="swim"
@@ -185,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a (scheme x benchmark x topology) grid, parallel + cached",
     )
+    sweep.set_defaults(parser=sweep)
     sweep.add_argument(
         "--schemes", type=_scheme, nargs="+",
         default=list(Scheme),
@@ -344,7 +346,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _usage_checked(args: argparse.Namespace, build):
+    """``build(args)``, with a ``ValueError`` reported as a usage error.
+
+    ``build`` only translates arguments into specs, so argparse prints
+    one ``error:`` line and exits 2 before any system is built; an error
+    raised while simulating still propagates.
+    """
+    try:
+        return build(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
+def _placed(spec: SimSpec) -> SimSpec:
+    """``spec``, once its chip tiles and places (``ValueError`` if not)."""
+    setup = make_chip_config(
+        spec.scheme,
+        cache_mb=spec.cache_mb,
+        num_layers=spec.layers,
+        num_pillars=spec.pillars,
+        num_cpus=spec.num_cpus,
+    )
+    build_topology(setup.chip, setup.placement)
+    return spec
+
+
+def _run_spec(args: argparse.Namespace) -> SimSpec:
+    """The cell ``repro run`` denotes; ``ValueError`` names a bad argument."""
     scale = ExperimentScale(
         name="cli",
         refs_per_cpu=args.refs,
@@ -379,7 +408,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             onset=args.fault_onset,
             watchdog_window=args.watchdog_window,
         )
-    spec = SimSpec.make(
+    return _placed(SimSpec.make(
         args.scheme,
         args.benchmark,
         scale=scale,
@@ -389,7 +418,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mode=mode,
         trace=trace_spec,
         faults=fault_spec,
-    )
+    ))
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    spec = _usage_checked(args, _run_spec)
     system, stats = simulate(spec)
     if args.trace:
         written, dropped = write_trace(
@@ -425,7 +458,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep_specs(args: argparse.Namespace) -> list[SimSpec]:
+    """The grid ``repro sweep`` denotes; ``ValueError`` names a bad argument."""
     scale = current_scale()
     if args.refs is not None:
         scale = ExperimentScale(
@@ -433,8 +467,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             warmup_fraction=scale.warmup_fraction, seed=scale.seed,
         )
     overrides = {} if args.seed is None else {"seed": args.seed}
-    specs = [
-        SimSpec.make(
+    return [
+        _placed(SimSpec.make(
             scheme, benchmark, scale=scale,
             cache_mb=cache_mb, layers=layers, pillars=pillars,
             mode=args.mode,
@@ -443,7 +477,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if dead_pillars else None
             ),
             **overrides,
-        )
+        ))
         for scheme in args.schemes
         for benchmark in args.benchmarks
         for cache_mb in args.cache_mb
@@ -451,6 +485,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for pillars in args.pillars
         for dead_pillars in args.dead_pillars
     ]
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    specs = _usage_checked(args, _sweep_specs)
     progress = None
     if not args.quiet and not args.json:
         def progress(message: str) -> None:

@@ -67,7 +67,6 @@ class SystemConfig:
     migration_threshold: int = 2
     latency_model: LatencyModelConfig = field(default_factory=LatencyModelConfig)
     l1: L1Config = field(default_factory=L1Config)
-    placement_k: int = 1           # Algorithm 1 offset factor
     # Override the scheme's default CPU placement (ablations: e.g. run the
     # 3D scheme with STACKED CPUs to expose the pillar-congestion cost).
     placement_override: Optional["PlacementPolicy"] = None
@@ -124,9 +123,7 @@ class NetworkInMemory:
             )
         else:
             placement = self.config.placement_override or setup.placement
-            self.topology = build_topology(
-                setup.chip, placement, k=self.config.placement_k
-            )
+            self.topology = build_topology(setup.chip, placement)
         self.stats = StatsRegistry("system")
         self.tracer: Tracer = (
             self.config.tracer if self.config.tracer is not None

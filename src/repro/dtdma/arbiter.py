@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable, Optional
 
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import StatsRegistry, StatsScope
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -45,7 +45,7 @@ class DynamicTDMAArbiter:
     def __init__(
         self,
         clients: Iterable[Hashable],
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[StatsRegistry | StatsScope] = None,
         tracer: Optional[Tracer] = None,
         track: int = 0,
     ):
@@ -59,10 +59,10 @@ class DynamicTDMAArbiter:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._track = track
         self._frame_size = 0
-        scope = self.stats.scope("arbiter")
-        self._grants = scope.counter("grants")
-        self._idle = scope.counter("idle_cycles")
-        self._active_hist = scope.histogram("active_clients", 1.0, 64)
+        # Grants are the only statistic: the activity-tracked kernel never
+        # asks an idle bus for a grant, so idle cycles are not countable
+        # here (the owning bus derives them from the clock).
+        self._grants = self.stats.scope("arbiter").counter("grants")
 
     def add_client(self, client: Hashable) -> None:
         if client in self._position:
@@ -76,11 +76,10 @@ class DynamicTDMAArbiter:
         Used when a transceiver dies (pillar/TSV fault): the frame shrinks
         so surviving clients immediately share the reclaimed bandwidth.
         Round-robin priority is preserved — the client after the removed
-        one in circular order is next in line — and the utilization
-        counters (grants/idle) are untouched, so bandwidth accounting
-        stays consistent across the removal.  Removing every client is
-        permitted (a fully dead bus); :meth:`grant` then always returns
-        ``None``.
+        one in circular order is next in line — and the grant counter
+        is untouched, so bandwidth accounting stays consistent across
+        the removal.  Removing every client is permitted (a fully dead
+        bus); :meth:`grant` then always returns ``None``.
         """
         index = self._position.pop(client, None)
         if index is None:
@@ -120,9 +119,7 @@ class DynamicTDMAArbiter:
             if frame != self._frame_size:
                 tracer.bus_frame(cycle, self._track, self._frame_size, frame)
                 self._frame_size = frame
-        self._active_hist.add(len(active))
         if not active:
-            self._idle.increment()
             return None
         count = len(self.clients)
         for offset in range(1, count + 1):
@@ -133,20 +130,3 @@ class DynamicTDMAArbiter:
                 self._grants.increment()
                 return client
         raise AssertionError("unreachable: active is a subset of clients")
-
-    def account_idle(self, cycles: int) -> None:
-        """Bulk-record ``cycles`` idle cycles (no active clients).
-
-        Used by the activity-tracked kernel to replay skipped bus-idle
-        windows; equivalent to ``cycles`` calls to ``grant(set())``.
-        """
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        if cycles:
-            self._active_hist.add_many(0.0, cycles)
-            self._idle.increment(cycles)
-
-    @property
-    def utilization_samples(self) -> tuple[int, int]:
-        """(granted cycles, idle cycles) for bandwidth-efficiency checks."""
-        return self._grants.value, self._idle.value

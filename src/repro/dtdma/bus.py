@@ -68,7 +68,11 @@ class PillarBus(ClockedComponent):
         self.layers = sorted(routers)
         self.stats = stats or StatsRegistry(f"pillar{xy}")
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._track = self._tracer.track(f"pillar.{xy[0]}.{xy[1]}")
+        # One name for the pillar's trace track and its statistics scope
+        # (pillar.<x>.<y>.bus.*, pillar.<x>.<y>.arbiter.*), as each router
+        # has its own scope.
+        name = f"pillar.{xy[0]}.{xy[1]}"
+        self._track = self._tracer.track(name)
         if len(self.layers) < 2:
             raise ValueError("a pillar must span at least two layers")
         num_vcs = routers[self.layers[0]].num_vcs
@@ -123,8 +127,9 @@ class PillarBus(ClockedComponent):
         clients: list[Client] = [
             (layer, vc) for layer in self.layers for vc in range(num_vcs)
         ]
+        scope = self.stats.scope(name)
         self.arbiter = DynamicTDMAArbiter(
-            clients, stats=self.stats, tracer=self._tracer, track=self._track
+            clients, stats=scope, tracer=self._tracer, track=self._track
         )
         self._granted: Optional[Client] = None
         # Pillar/TSV fault state: a failing bus first *drains* — only
@@ -135,34 +140,19 @@ class PillarBus(ClockedComponent):
         self._dead = False
         self._draining = False
         self._fault_state: Optional["FaultState"] = None
-        scope = self.stats.scope("bus")
-        self._busy = scope.counter("busy_cycles")
-        self._cycles = scope.counter("total_cycles")
-        self._transfers = scope.counter("flit_transfers")
-        self._queue_hist = scope.histogram("tx_occupancy", 1.0, 64)
-        # First cycle whose per-cycle accounting has not been recorded yet.
-        # The bus records statistics every cycle under the naive kernel;
-        # under activity tracking the idle cycles it was skipped for are
-        # replayed in bulk (they are all zeros) on wake-up or flush.
-        self._next_unaccounted = engine.cycle
+        bus = scope.scope("bus")
+        self._busy = bus.counter("busy_cycles")
+        self._transfers = bus.counter("flit_transfers")
+        # Utilization divides by the cycles since construction, read off
+        # the clock, so it covers the cycles the activity-tracked kernel
+        # skips without any per-cycle work.
+        self._built = engine.cycle
 
     # -- activity tracking ---------------------------------------------------
 
     def is_idle(self) -> bool:
         """Idle iff no transceiver holds a flit (nothing to arbitrate)."""
         return all(t.occupancy == 0 for t in self.transceivers.values())
-
-    def _account_idle(self, cycles: int) -> None:
-        """Replay ``cycles`` skipped idle cycles of per-cycle statistics."""
-        self._cycles.increment(cycles)
-        self._queue_hist.add_many(0.0, cycles)
-        self.arbiter.account_idle(cycles)
-
-    def flush_idle_stats(self, cycle: int) -> None:
-        gap = cycle - self._next_unaccounted
-        if gap > 0:
-            self._account_idle(gap)
-            self._next_unaccounted = cycle
 
     # -- credit bookkeeping -----------------------------------------------
 
@@ -266,11 +256,6 @@ class PillarBus(ClockedComponent):
         return self._rx_credits[dest_layer][vc] > 0
 
     def evaluate(self, cycle: int) -> None:
-        gap = cycle - self._next_unaccounted
-        if gap > 0:
-            self._account_idle(gap)
-        self._next_unaccounted = cycle + 1
-        self._cycles.increment()
         active = {
             client
             for client in self.arbiter.clients
@@ -284,9 +269,6 @@ class PillarBus(ClockedComponent):
                 for owner in self._vc_owner.values()
                 if owner is not None
             }
-        self._queue_hist.add(
-            sum(t.occupancy for t in self.transceivers.values())
-        )
         self._granted = self.arbiter.grant(active, cycle)
 
     def advance(self, cycle: int) -> None:
@@ -339,6 +321,6 @@ class PillarBus(ClockedComponent):
 
     @property
     def utilization(self) -> float:
-        """Fraction of cycles the bus carried a flit."""
-        total = self._cycles.value
+        """Fraction of the cycles since construction the bus carried a flit."""
+        total = self.engine.cycle - self._built
         return self._busy.value / total if total else 0.0

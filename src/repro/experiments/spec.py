@@ -235,9 +235,7 @@ def _reference_positions(spec: SimSpec) -> dict:
     return dict(build_topology(setup.chip, setup.placement).cpu_positions)
 
 
-def simulate(
-    spec: SimSpec, system_config: Optional[SystemConfig] = None
-) -> tuple[NetworkInMemory, RunStats]:
+def simulate(spec: SimSpec) -> tuple[NetworkInMemory, RunStats]:
     """Simulate one cell, returning the simulated system with its stats.
 
     Callers that inspect post-run system state (energy accounting, the
@@ -246,8 +244,8 @@ def simulate(
     """
     from repro.workloads.generator import SyntheticWorkload
 
-    config = system_config or build_system_config(spec)
-    if spec.trace is not None and config.tracer is None:
+    config = build_system_config(spec)
+    if spec.trace is not None:
         config.tracer = spec.trace.make_tracer()
     system = NetworkInMemory(config)
     workload = SyntheticWorkload(
@@ -263,14 +261,7 @@ def simulate(
     return system, stats
 
 
-def run_spec(
-    spec: SimSpec, system_config: Optional[SystemConfig] = None
-) -> RunStats:
-    """Simulate one cell.  Pure: the result is a function of the spec only.
-
-    ``system_config`` lets callers inject a pre-built configuration for
-    ablations the spec cannot express; such runs bypass the result cache
-    (the orchestrator only ever passes plain specs).
-    """
-    __, stats = simulate(spec, system_config=system_config)
+def run_spec(spec: SimSpec) -> RunStats:
+    """Simulate one cell.  Pure: the result is a function of the spec only."""
+    __, stats = simulate(spec)
     return stats

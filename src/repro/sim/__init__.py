@@ -12,7 +12,7 @@ Activity/wake contract
 The engine is *activity-tracked* by default: it keeps an active set and
 only ticks components in it, and when the set is empty it fast-forwards
 the clock straight to the next scheduled event.  A component opts in by
-implementing three hooks on :class:`~repro.sim.engine.ClockedComponent`:
+implementing two hooks on :class:`~repro.sim.engine.ClockedComponent`:
 
 * ``is_idle()`` — ``True`` only when both phases would be pure no-ops
   (no buffered work, no per-cycle statistics) until new work arrives.
@@ -25,9 +25,10 @@ implementing three hooks on :class:`~repro.sim.engine.ClockedComponent`:
   the generator.  Forgetting a wake path is the one way to break the
   kernel — an idle component that mutates state without being woken
   simply stops being simulated.
-* ``flush_idle_stats(cycle)`` — components with per-cycle accounting
-  (the pillar bus) replay their skipped idle cycles here; the engine
-  invokes it at the end of ``run``/``run_until``.
+
+A statistic over every cycle, such as a pillar bus's utilization, is
+derived from the clock when read rather than counted per tick, so
+skipped cycles leave nothing to replay.
 
 Determinism guarantee: idle cycles are behaviour-free by definition, so
 the activity-tracked and naive kernels produce bit-identical component

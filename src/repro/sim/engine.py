@@ -34,10 +34,11 @@ component must honour to participate:
   (``InputPort.accept``, dTDMA transceiver enqueue, NIC injection, traffic
   restart) must call the owning component's ``wake()`` so the engine
   re-adds it to the active set.
-* ``flush_idle_stats(cycle)`` — a component that records per-cycle
-  statistics (e.g. the dTDMA bus's idle-cycle accounting) replays the
-  skipped idle cycles here; the engine calls it for every registered
-  component at the end of :meth:`Engine.run` / :meth:`Engine.run_until`.
+
+That is the whole contract.  A statistic that covers every cycle (a
+pillar bus's utilization) is derived from the clock when it is read,
+never counted per tick, so skipped cycles leave nothing to replay and a
+raw :meth:`Engine.step` loop reads the same numbers as :meth:`Engine.run`.
 
 Determinism guarantee: a component's idle cycles are by definition
 behaviour-free, so skipping them (and jumping the clock over windows where
@@ -128,14 +129,6 @@ class ClockedComponent:
         engine = self._engine
         if engine is not None:
             engine.wake(self)
-
-    def flush_idle_stats(self, cycle: int) -> None:
-        """Replay per-cycle statistics for idle cycles skipped so far.
-
-        ``cycle`` is the engine's current cycle, i.e. statistics must be
-        brought up to date as if the component had been ticked on every
-        cycle below it.  Default: nothing to replay.
-        """
 
 
 class Event:
@@ -293,16 +286,6 @@ class Engine:
             return cycle
         return None
 
-    def flush_idle_stats(self) -> None:
-        """Bring every component's deferred idle-cycle statistics up to date.
-
-        Called automatically at the end of :meth:`run` and
-        :meth:`run_until`; call it manually before reading statistics from
-        a simulation driven by raw :meth:`step` loops.
-        """
-        for component in list(self._components):
-            component.flush_idle_stats(self.cycle)
-
     def step(self) -> None:
         """Advance the simulation by exactly one cycle."""
         cycle = self.cycle
@@ -386,7 +369,6 @@ class Engine:
                 break
             self.step()
             executed += 1
-        self.flush_idle_stats()
         return executed
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = 10_000_000) -> int:
@@ -402,7 +384,6 @@ class Engine:
         executed = 0
         while not predicate():
             if executed >= max_cycles:
-                self.flush_idle_stats()
                 raise SimulationStallError(
                     f"{self.name}: run_until exceeded {max_cycles} cycles "
                     "(likely deadlock)",
@@ -417,5 +398,4 @@ class Engine:
                 continue
             self.step()
             executed += 1
-        self.flush_idle_stats()
         return executed

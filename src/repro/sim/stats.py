@@ -75,33 +75,6 @@ class Histogram:
         else:
             self.overflow += 1
 
-    def add_many(self, value: float, count: int) -> None:
-        """Record ``count`` identical samples in one call.
-
-        Used by the activity-tracked kernel to replay skipped idle cycles
-        in bulk.  Bit-identical to ``count`` repeated :meth:`add` calls
-        whenever the float accumulators are order-insensitive for
-        ``value`` — exactly true for 0.0, the idle-replay sample.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return
-        self.count += count
-        self.total += value * count
-        self.total_sq += value * value * count
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        index = self._bucket_index(value)
-        if index < 0:
-            self.underflow += count
-        elif index < len(self.buckets):
-            self.buckets[index] += count
-        else:
-            self.overflow += count
-
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
             self.add(value)

@@ -65,7 +65,6 @@ def _drive(
                     network.send(src, dest)
                     sent += 1
         network.engine.step()
-    network.engine.flush_idle_stats()
     return network, {
         "packets_sent": sent,
         "final_cycle": network.engine.cycle,

@@ -83,3 +83,31 @@ def test_single_packet_fast_forwards_idle_window():
     assert tracked_eng.fast_forwarded_cycles > 1_000
     assert naive_eng.fast_forwarded_cycles == 0
     assert tracked_eng.ticks < naive_eng.ticks / 10
+
+
+def test_raw_step_loop_reads_exact_statistics():
+    """A raw ``step()`` loop reads the naive kernel's bus statistics.
+
+    Neither kernel runs through ``run``/``run_until`` here, so nothing
+    could bring deferred statistics up to date: every statistic must be
+    exact whenever it is read.
+    """
+    results = []
+    for tracking in (False, True):
+        engine, network, __ = _build(tracking, 0.0)
+        network.send(Coord(1, 1, 0), Coord(1, 1, 1))
+        for __ in range(500):
+            engine.step()
+        results.append((engine, network))
+    (naive_eng, naive_net), (tracked_eng, tracked_net) = results
+
+    assert naive_net.in_flight == 0 and tracked_net.in_flight == 0
+    assert naive_eng.cycle == tracked_eng.cycle == 500
+    assert naive_net.stats.snapshot() == tracked_net.stats.snapshot()
+    naive_util = {xy: bus.utilization for xy, bus in naive_net.pillars.items()}
+    tracked_util = {
+        xy: bus.utilization for xy, bus in tracked_net.pillars.items()
+    }
+    assert naive_util == tracked_util
+    assert naive_util[(1, 1)] > 0.0
+    assert tracked_eng.ticks < naive_eng.ticks

@@ -46,7 +46,6 @@ def _drive(fabric: str, rate: float, cycles: int = CYCLES, seed: int = SEED):
                     network.send(src, dest)
                     sent += 1
         network.engine.step()
-    network.engine.flush_idle_stats()
     return network, {
         "packets_sent": sent,
         "final_cycle": network.engine.cycle,

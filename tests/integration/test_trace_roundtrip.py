@@ -50,7 +50,6 @@ def _drive(fabric="optimized", tracer=None, rate=RATE):
                 if dest != src:
                     packet_ids.append(network.send(src, dest).packet_id)
         network.engine.step()
-    network.engine.flush_idle_stats()
     return network, packet_ids
 
 

@@ -66,19 +66,6 @@ class TestRun:
         assert warm.cached is True
         assert warm.stats.to_dict() == cold.stats.to_dict()
 
-    def test_system_config_bypasses_cache(self, tmp_path):
-        from repro.experiments.spec import build_system_config
-
-        spec = make_spec()
-        result = api.run(
-            spec,
-            use_cache=True,
-            cache_dir=str(tmp_path),
-            system_config=build_system_config(spec),
-        )
-        assert result.cached is False
-        assert list(tmp_path.iterdir()) == []  # nothing persisted
-
     def test_results_identical_to_run_spec(self):
         from repro.experiments.spec import run_spec
 

@@ -99,6 +99,30 @@ class TestCommands:
         assert payload["stats"]["scheme"] == "CMP-DNUCA-3D"
         assert payload["stats"]["l2_hits"] > 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--refs", "0"],
+            ["run", "--warmup", "1.5"],
+            ["sweep", "--refs", "-5"],
+            ["run", "--fault", "bogus"],
+            ["run", "--layers", "3"],
+            ["run", "--cache-mb", "5"],
+        ],
+        ids=["refs", "warmup", "sweep-refs", "fault", "layers", "cache-mb"],
+    )
+    def test_bad_argument_is_a_usage_error(self, capsys, argv):
+        # Reported by argparse before any system is built: one error
+        # line naming the value, exit status 2, no traceback.
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro {argv[0]}: error: ")
+        assert "Traceback" not in err
+
     def test_experiments_table2(self, capsys):
         assert main(["experiments", "table2"]) == 0
         assert "Table 2" in capsys.readouterr().out
@@ -136,7 +160,7 @@ class TestCommands:
 
     def test_run_trace_implies_cycle_mode(self):
         args = build_parser().parse_args(["run", "--trace", "out.json"])
-        assert args.mode is None  # resolution happens in _cmd_run
+        assert args.mode is None  # resolved when the spec is built
         assert args.trace == "out.json"
         assert args.trace_format == "chrome"
         assert args.trace_limit == 1_000_000

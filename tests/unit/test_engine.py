@@ -352,22 +352,6 @@ def test_run_until_fast_forwards_to_event():
     assert engine.fast_forwarded_cycles >= 999
 
 
-def test_flush_idle_stats_called_at_end_of_run():
-    flushed = []
-
-    class Flusher(ClockedComponent):
-        def is_idle(self):
-            return True
-
-        def flush_idle_stats(self, cycle):
-            flushed.append(cycle)
-
-    engine = Engine(activity_tracking=True)
-    engine.register(Flusher())
-    engine.run(50)
-    assert flushed == [50]
-
-
 # -- post queue (hot-path credit returns) -----------------------------------
 
 

@@ -215,9 +215,9 @@ class TestArbiterRemoveClient:
         arbiter = DynamicTDMAArbiter(["a", "b"])
         arbiter.grant({"a"})
         arbiter.grant(set())
-        granted, idle = arbiter.utilization_samples
+        granted = arbiter.stats.snapshot()
         arbiter.remove_client("a")
-        assert arbiter.utilization_samples == (granted, idle)
+        assert arbiter.stats.snapshot() == granted == {"arbiter.grants": 1}
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

@@ -103,24 +103,6 @@ class TestHistogram:
         assert hist.percentile(0.75) == 2.0
         assert hist.percentile(1.0) == 3.0
 
-    def test_add_many_matches_repeated_add(self):
-        bulk = Histogram("a", bucket_width=2.0, num_buckets=8)
-        loop = Histogram("b", bucket_width=2.0, num_buckets=8)
-        bulk.add_many(0.0, 5)
-        bulk.add_many(3.0, 2)
-        for value in [0.0] * 5 + [3.0] * 2:
-            loop.add(value)
-        for attr in ("count", "total", "total_sq", "min_value",
-                     "max_value", "buckets", "underflow", "overflow"):
-            assert getattr(bulk, attr) == getattr(loop, attr)
-
-    def test_add_many_validation(self):
-        hist = Histogram("lat")
-        with pytest.raises(ValueError):
-            hist.add_many(1.0, -1)
-        hist.add_many(1.0, 0)  # zero is a no-op
-        assert hist.count == 0
-
 
 class TestStatsRegistry:
     def test_same_name_same_object(self):
