@@ -1,9 +1,10 @@
 """Shared configuration for the reproduction benchmarks.
 
 Every benchmark regenerates one of the paper's tables or figures at the
-``quick`` experiment scale (set ``REPRO_SCALE=full`` for the EXPERIMENTS.md
-numbers) and asserts the paper's qualitative shape.  Simulations are long,
-so each benchmark runs exactly one round.
+``quick`` experiment scale, the scale of the EXPERIMENTS.md numbers (set
+``REPRO_SCALE=full`` for twice the references), and asserts the paper's
+qualitative shape.  Simulations are long, so each benchmark runs exactly
+one round.
 """
 
 import pytest

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import CACHE_SEARCH, MIGRATION, NULL_TRACER, Tracer
 from repro.noc.routing import Coord
 from repro.core.chip import ChipTopology
 from repro.cache.addressing import AddressMap, DecodedAddress
@@ -212,7 +212,8 @@ class NucaL2:
         step = plan.steps[cluster_index]
         tracer = self.tracer
         if tracer.enabled:
-            tracer.cache_search(
+            tracer.emit(
+                CACHE_SEARCH,
                 cycle,
                 self._tracks[cluster_index],
                 cpu_id,
@@ -241,7 +242,8 @@ class NucaL2:
                 migration = (cluster_index, target)
                 self._migrations.increment()
                 if tracer.enabled:
-                    tracer.migration(
+                    tracer.emit(
+                        MIGRATION,
                         cycle,
                         self._tracks[cluster_index],
                         decoded.line_address,
@@ -270,7 +272,8 @@ class NucaL2:
         home = decoded.home_cluster
         tracer = self.tracer
         if tracer.enabled:
-            tracer.cache_search(
+            tracer.emit(
+                CACHE_SEARCH,
                 cycle,
                 self._tracks[home],
                 cpu_id,

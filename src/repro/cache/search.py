@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.chip import ChipTopology
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER, SEARCH_PLAN, Tracer
 
 
 @dataclass(frozen=True)
@@ -72,5 +72,7 @@ class SearchPolicy:
             # Cold path (once per CPU): stamp the plan's shape at ts 0 so
             # the timeline opens with each CPU's search topology.
             track = tracer.track(f"cpu.{cpu_id}")
-            tracer.search_plan(0.0, track, cpu_id, len(plan.step1), len(plan.step2))
+            tracer.emit(
+                SEARCH_PLAN, 0.0, track, cpu_id, len(plan.step1), len(plan.step2)
+            )
         return plan

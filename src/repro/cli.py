@@ -45,7 +45,7 @@ import sys
 from repro import api
 from repro.core.chip import ChipConfig
 from repro.core.placement import PlacementPolicy, build_topology
-from repro.core.schemes import Scheme, make_chip_config
+from repro.core.schemes import Scheme
 from repro.power.report import energy_report
 from repro.thermal import simulate_thermal
 from repro.workloads.benchmarks import BENCHMARK_NAMES
@@ -359,19 +359,6 @@ def _usage_checked(args: argparse.Namespace, build):
         args.parser.error(str(exc))
 
 
-def _placed(spec: SimSpec) -> SimSpec:
-    """``spec``, once its chip tiles and places (``ValueError`` if not)."""
-    setup = make_chip_config(
-        spec.scheme,
-        cache_mb=spec.cache_mb,
-        num_layers=spec.layers,
-        num_pillars=spec.pillars,
-        num_cpus=spec.num_cpus,
-    )
-    build_topology(setup.chip, setup.placement)
-    return spec
-
-
 def _run_spec(args: argparse.Namespace) -> SimSpec:
     """The cell ``repro run`` denotes; ``ValueError`` names a bad argument."""
     scale = ExperimentScale(
@@ -408,7 +395,7 @@ def _run_spec(args: argparse.Namespace) -> SimSpec:
             onset=args.fault_onset,
             watchdog_window=args.watchdog_window,
         )
-    return _placed(SimSpec.make(
+    return SimSpec.make(
         args.scheme,
         args.benchmark,
         scale=scale,
@@ -418,7 +405,7 @@ def _run_spec(args: argparse.Namespace) -> SimSpec:
         mode=mode,
         trace=trace_spec,
         faults=fault_spec,
-    ))
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -468,7 +455,7 @@ def _sweep_specs(args: argparse.Namespace) -> list[SimSpec]:
         )
     overrides = {} if args.seed is None else {"seed": args.seed}
     return [
-        _placed(SimSpec.make(
+        SimSpec.make(
             scheme, benchmark, scale=scale,
             cache_mb=cache_mb, layers=layers, pillars=pillars,
             mode=args.mode,
@@ -477,7 +464,7 @@ def _sweep_specs(args: argparse.Namespace) -> list[SimSpec]:
                 if dead_pillars else None
             ),
             **overrides,
-        ))
+        )
         for scheme in args.schemes
         for benchmark in args.benchmarks
         for cache_mb in args.cache_mb

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 from repro.cache.nuca import IFETCH, WRITE, AccessType
 from repro.coherence.l1cache import L1Cache, L1Config
 from repro.coherence.directory import Directory
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import COHERENCE, NULL_TRACER, Tracer
 
 
 class CoherenceEvent(NamedTuple):
@@ -121,7 +121,8 @@ class CoherentL1System:
                 return WRITE_THROUGH_HIT if hit else L1_MISS
             tracer = self.tracer
             if tracer.enabled:
-                tracer.coherence(
+                tracer.emit(
+                    COHERENCE,
                     cycle,
                     self._cpu_tracks[cpu_id],
                     "write_invalidate",
@@ -150,8 +151,8 @@ class CoherentL1System:
         targets = self.directory.invalidate_line(line_address)
         tracer = self.tracer
         if tracer.enabled and targets:
-            tracer.coherence(
-                cycle, self._sys_track, "l2_eviction", line_address,
+            tracer.emit(
+                COHERENCE, cycle, self._sys_track, "l2_eviction", line_address,
                 tuple(targets),
             )
         address = line_address * self.config.line_bytes

@@ -6,10 +6,11 @@ packet with this model instead of injecting flits.  The model mirrors the
 cycle-accurate fabric's zero-load behaviour exactly and approximates
 contention with M/D/1-style queueing terms driven by online load estimates:
 
-* **zero-load**: one cycle per mesh hop (single-stage router with the link
-  folded in, as in the cycle simulator), a fixed injection/ejection
-  overhead, wormhole serialization of ``size - 1`` flits, and two extra
-  cycles for a vertical bus crossing (transceiver + bus slot).
+* **zero-load**: ``hop_cycles`` (2.0) per mesh hop, one single-stage
+  router cycle plus one wire cycle, as in the cycle simulator; a fixed
+  injection/ejection overhead, wormhole serialization of ``size - 1``
+  flits, and two extra cycles for a vertical bus crossing (transceiver +
+  bus slot).
 * **mesh contention**: per-hop queueing wait of
   ``q_mesh * rho / (1 - rho)`` where ``rho`` is the estimated flit-hop
   utilization of the mesh.

@@ -16,7 +16,7 @@ import math
 from typing import Hashable, Iterable, Optional
 
 from repro.sim.stats import StatsRegistry, StatsScope
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import BUS_FRAME, NULL_TRACER, Tracer
 
 
 def control_wire_count(num_layers: int) -> int:
@@ -117,7 +117,9 @@ class DynamicTDMAArbiter:
         if tracer.enabled:
             frame = len(active)
             if frame != self._frame_size:
-                tracer.bus_frame(cycle, self._track, self._frame_size, frame)
+                tracer.emit(
+                    BUS_FRAME, cycle, self._track, self._frame_size, frame
+                )
                 self._frame_size = frame
         if not active:
             return None

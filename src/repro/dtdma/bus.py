@@ -20,7 +20,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.sim.engine import ClockedComponent, Engine
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import BUS_GRANT, NULL_TRACER, Tracer
 from repro.noc.flit import Flit
 from repro.noc.link import CreditPipeline
 from repro.noc.router import Router, InputPort
@@ -283,7 +283,8 @@ class PillarBus(ClockedComponent):
         dest_layer = flit.packet.dest.z
         tracer = self._tracer
         if tracer.enabled and flit.is_head:
-            tracer.bus_grant(
+            tracer.emit(
+                BUS_GRANT,
                 cycle,
                 self._track,
                 flit.packet.packet_id,

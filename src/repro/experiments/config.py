@@ -4,10 +4,10 @@ The paper samples 2 billion cycles after a 500M-cycle warm-up; our
 synthetic traces are scaled down so a full figure sweep completes in
 minutes of wall clock.  Two scales are provided:
 
-* ``quick`` — used by the pytest benchmarks: enough references for stable
-  scheme orderings (a few percent run-to-run noise).
-* ``full``  — used for the EXPERIMENTS.md numbers: ~2x the references and
-  proportionally longer warm-up.
+* ``quick`` (the default) — used by the pytest benchmarks and for the
+  EXPERIMENTS.md numbers: enough references for stable scheme orderings
+  (a few percent run-to-run noise).
+* ``full`` — 2x the references and proportionally longer warm-up.
 
 Select with the ``REPRO_SCALE`` environment variable.
 """

@@ -26,12 +26,15 @@ caching or typed results should go through :func:`repro.api.run`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.schemes import Scheme
+from repro.core.chip import ChipTopology
+from repro.core.placement import build_topology
+from repro.core.schemes import Scheme, make_chip_config
 from repro.core.system import NetworkInMemory, RunStats, SystemConfig
 from repro.faults.spec import FaultSpec
 from repro.sim.rng import derive_seed
@@ -41,6 +44,26 @@ from repro.experiments.config import ExperimentScale, current_scale
 #: Bump when the simulation's semantics change incompatibly, so stale
 #: cached artifacts are never mistaken for current results.
 SPEC_VERSION = 1
+
+
+@functools.lru_cache(maxsize=256)
+def _placed_chip(
+    scheme: Scheme, cache_mb: int, layers: int, pillars: int, num_cpus: int
+) -> ChipTopology:
+    """The scheme's placed chip; ``ValueError`` if it does not tile or place.
+
+    Memoized: placing a chip costs about a third of a millisecond, and a
+    sweep service decodes thousands of specs over a few dozen chips.
+    Callers share the result and only read it.
+    """
+    setup = make_chip_config(
+        scheme,
+        cache_mb=cache_mb,
+        num_layers=layers,
+        num_pillars=pillars,
+        num_cpus=num_cpus,
+    )
+    return build_topology(setup.chip, setup.placement)
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,14 @@ class SimSpec:
     # deterministically from the cell seed.  None (default) keeps the
     # run fault-unaware and every pre-existing spec hash unchanged.
     faults: Optional[FaultSpec] = None
+
+    def __post_init__(self) -> None:
+        # A chip that does not tile or place is refused here, not by the
+        # worker that would build the cell.
+        _placed_chip(
+            self.scheme, self.cache_mb, self.layers, self.pillars,
+            self.num_cpus,
+        )
 
     @classmethod
     def make(
@@ -222,17 +253,10 @@ def build_system_config(spec: SimSpec) -> SystemConfig:
 
 def _reference_positions(spec: SimSpec) -> dict:
     """CPU coordinates of the scheme's default 8-pillar placement."""
-    from repro.core.placement import build_topology
-    from repro.core.schemes import make_chip_config
-
-    setup = make_chip_config(
-        spec.scheme,
-        cache_mb=spec.cache_mb,
-        num_layers=spec.layers,
-        num_pillars=8,
-        num_cpus=spec.num_cpus,
+    chip = _placed_chip(
+        spec.scheme, spec.cache_mb, spec.layers, 8, spec.num_cpus
     )
-    return dict(build_topology(setup.chip, setup.placement).cpu_positions)
+    return dict(chip.cpu_positions)
 
 
 def simulate(spec: SimSpec) -> tuple[NetworkInMemory, RunStats]:

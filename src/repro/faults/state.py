@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import FAULT, NULL_TRACER, Tracer
 from repro.noc.routing import Coord, Port
 
 # Listener signature: (kind, target, phase) with phase "inject" | "heal".
@@ -70,7 +70,7 @@ class FaultState:
             self._healed.increment()
         tracer = self._tracer
         if tracer.enabled:
-            tracer.fault(cycle, self._track, kind, tuple(target), phase)
+            tracer.emit(FAULT, cycle, self._track, kind, tuple(target), phase)
         for listener in self._listeners:
             listener(kind, target, phase)
 

@@ -12,7 +12,6 @@ from repro.noc.flit import Flit, FlitType
 from repro.noc.packet import Packet, MessageClass
 from repro.noc.routing import Coord, Port, OPPOSITE_PORT, dimension_order_route
 from repro.noc.router import Router, InputVC, OutputPort
-from repro.noc.link import Link
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.traffic import (
@@ -34,7 +33,6 @@ __all__ = [
     "Router",
     "InputVC",
     "OutputPort",
-    "Link",
     "NetworkInterface",
     "Network",
     "NetworkConfig",

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from repro.sim.engine import ClockedComponent, Engine
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER, PACKET_EJECT, PACKET_INJECT, Tracer
 from repro.noc.flit import Flit
 from repro.noc.link import CreditPipeline
 from repro.noc.packet import FlitPool, Packet
@@ -128,7 +128,16 @@ class NetworkInterface(ClockedComponent):
             self._injected.increment()
             tracer = self._tracer
             if tracer.enabled:
-                tracer.packet_inject(cycle, self._track, packet)
+                tracer.emit(
+                    PACKET_INJECT,
+                    cycle,
+                    self._track,
+                    packet.packet_id,
+                    tuple(packet.src),
+                    tuple(packet.dest),
+                    packet.size_flits,
+                    packet.message_class.value,
+                )
         if self._output.credits[self._current_vc] > 0:
             flit = self._current_flits.popleft()
             flit.injected_cycle = cycle
@@ -147,7 +156,8 @@ class NetworkInterface(ClockedComponent):
                 self._latency_hist.add(packet.latency)
             tracer = self._tracer
             if tracer.enabled:
-                tracer.packet_eject(
+                tracer.emit(
+                    PACKET_EJECT,
                     packet.ejected_cycle,
                     self._track,
                     packet.packet_id,

@@ -1,7 +1,4 @@
-"""Links and the hot-path transfer pipelines.
-
-:class:`Link` is the standalone fixed-latency conduit used where a delayed
-flit hand-off is needed outside a router-to-router connection.
+"""The hot-path transfer pipelines of the mesh links.
 
 :class:`LinkPipeline` and :class:`CreditPipeline` are the allocation-free
 replacements for the ``engine.schedule(lambda: ...)`` per-hop pattern:
@@ -13,52 +10,10 @@ of a closure plus a heap push).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.engine import ClockedComponent, Engine
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.noc.flit import Flit
-
-
-class Link:
-    """Delivers flits to ``sink(flit, vc)`` after ``latency`` cycles.
-
-    Activity contract: the link itself is stateless between transfers, so
-    it never needs waking; it is the *sink* (``InputPort.accept``, a
-    transceiver enqueue, a NIC ejection handler) that wakes its owning
-    component when the delayed delivery lands.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        sink: Callable[[Flit, int], None],
-        latency: int = 1,
-        tracer: Optional[Tracer] = None,
-        name: str = "link",
-    ):
-        if latency < 0:
-            raise ValueError("link latency must be non-negative")
-        self.engine = engine
-        self.sink = sink
-        self.latency = latency
-        self.flits_carried = 0
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._track = self._tracer.track(name)
-
-    def send(self, flit: Flit, vc: int) -> None:
-        self.flits_carried += 1
-        tracer = self._tracer
-        if tracer.enabled and flit.is_head:
-            tracer.link_transfer(
-                self.engine.cycle, self._track, flit.packet.packet_id, vc
-            )
-        if self.latency == 0:
-            self.sink(flit, vc)
-        else:
-            self.engine.schedule(
-                self.latency, lambda f=flit, v=vc: self.sink(f, v)
-            )
 
 
 class LinkPipeline(ClockedComponent):

@@ -32,7 +32,7 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.sim.engine import ClockedComponent, Engine
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER, PACKET_HOP, Tracer
 from repro.noc.flit import Flit
 from repro.noc.link import CreditPipeline, LinkPipeline
 from repro.noc.routing import (
@@ -483,7 +483,8 @@ class Router(ClockedComponent):
             vc = grants[i + 1]
             flit = vc.buffer.popleft()
             if traced and flit.is_head:
-                tracer.packet_hop(
+                tracer.emit(
+                    PACKET_HOP,
                     cycle,
                     self._track,
                     flit.packet.packet_id,

@@ -26,12 +26,10 @@ Export targets:
 * :func:`write_jsonl` — one JSON object per event for scripted analysis,
   preceded by a header line with track names and drop counts.
 
-Adding a new event type: pick the next event-kind constant, name it in
-``EVENT_NAMES``, list its field names in ``_FIELDS``, add a probe method
-named after the kind (``packet_hop``, ``bus_grant``, ...) to
-:class:`Tracer` as a no-op and to :class:`RingTracer` as a recorder, and
-teach ``_chrome_slice`` how to label it.  Probe sites must keep the
-guard-on-bool rule.
+Probe sites call ``tracer.emit(KIND, ts, track, *payload)`` behind an
+``if tracer.enabled:`` guard.  Every event kind is one :class:`EventKind`
+row of :data:`EVENTS`, which both exporters read; adding a kind is one
+row plus its probe site.
 """
 
 from __future__ import annotations
@@ -39,61 +37,65 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Union
+
+
+class EventKind(NamedTuple):
+    """One row of the event schema, read by both exporters."""
+
+    #: The JSONL ``event`` value.
+    name: str
+    #: The Chrome slice category.
+    category: str
+    #: Names of the payload fields (event tuple positions 3..).
+    fields: tuple[str, ...]
+    #: The Chrome slice name, built from the payload tuple.
+    label: Callable[[tuple], str]
+    #: Chrome flow phase of a packet-lifetime kind: ``"s"`` starts the
+    #: packet's flow at inject, ``"t"`` continues it, ``"f"`` ends it.
+    flow: Optional[str] = None
+
+
+#: The event schema; a kind constant is its row's index.
+EVENTS: tuple[EventKind, ...] = (
+    EventKind("packet_inject", "packet",
+              ("packet_id", "src", "dest", "size_flits", "message_class"),
+              lambda p: f"inject p{p[0]}", "s"),
+    EventKind("packet_hop", "packet", ("packet_id", "out_port", "out_vc"),
+              lambda p: f"p{p[0]} -> {p[1]}", "t"),
+    EventKind("packet_eject", "packet", ("packet_id", "latency"),
+              lambda p: f"eject p{p[0]}", "f"),
+    EventKind("bus_grant", "dtdma",
+              ("packet_id", "src_layer", "dest_layer", "vc"),
+              lambda p: f"slot p{p[0]} L{p[1]}->L{p[2]}", "t"),
+    EventKind("bus_frame", "dtdma", ("old_size", "new_size"),
+              lambda p: f"frame {p[0]}->{p[1]}"),
+    EventKind("cache_search", "cache", ("cpu", "line", "step", "hit"),
+              lambda p: f"search cpu{p[0]} step{p[2]} "
+                        f"{'hit' if p[3] else 'miss'}"),
+    EventKind("search_plan", "cache",
+              ("cpu", "step1_clusters", "step2_clusters"),
+              lambda p: f"search_plan cpu{p[0]}"),
+    EventKind("migration", "cache", ("line", "src_cluster", "dest_cluster"),
+              lambda p: f"migrate {p[1]}->{p[2]}"),
+    EventKind("coherence", "coherence", ("kind", "line", "targets"),
+              lambda p: f"coherence {p[0]}"),
+    EventKind("fault", "fault", ("kind", "target", "phase"),
+              lambda p: f"fault {p[0]} {p[1]} {p[2]}"),
+)
 
 # Event kinds (index 1 of every event tuple).  Int constants, not an
-# enum: probe sites sit on the simulation hot path and tuple layouts are
-# internal to this module.
-PACKET_INJECT = 0
-PACKET_HOP = 1
-PACKET_EJECT = 2
-LINK_TRANSFER = 3
-BUS_GRANT = 4
-BUS_FRAME = 5
-CACHE_SEARCH = 6
-SEARCH_PLAN = 7
-MIGRATION = 8
-COHERENCE = 9
-FAULT = 10
-
-EVENT_NAMES = {
-    PACKET_INJECT: "packet_inject",
-    PACKET_HOP: "packet_hop",
-    PACKET_EJECT: "packet_eject",
-    LINK_TRANSFER: "link_transfer",
-    BUS_GRANT: "bus_grant",
-    BUS_FRAME: "bus_frame",
-    CACHE_SEARCH: "cache_search",
-    SEARCH_PLAN: "search_plan",
-    MIGRATION: "migration",
-    COHERENCE: "coherence",
-    FAULT: "fault",
-}
-
-# Field names for the per-kind payload (event tuple positions 3..).
-_FIELDS = {
-    PACKET_INJECT: ("packet_id", "src", "dest", "size_flits", "message_class"),
-    PACKET_HOP: ("packet_id", "out_port", "out_vc"),
-    PACKET_EJECT: ("packet_id", "latency"),
-    LINK_TRANSFER: ("packet_id", "vc"),
-    BUS_GRANT: ("packet_id", "src_layer", "dest_layer", "vc"),
-    BUS_FRAME: ("old_size", "new_size"),
-    CACHE_SEARCH: ("cpu", "line", "step", "hit"),
-    SEARCH_PLAN: ("cpu", "step1_clusters", "step2_clusters"),
-    MIGRATION: ("line", "src_cluster", "dest_cluster"),
-    COHERENCE: ("kind", "line", "targets"),
-    FAULT: ("kind", "target", "phase"),
-}
+# enum: probe sites sit on the simulation hot path.
+(PACKET_INJECT, PACKET_HOP, PACKET_EJECT, BUS_GRANT, BUS_FRAME, CACHE_SEARCH,
+ SEARCH_PLAN, MIGRATION, COHERENCE, FAULT) = range(len(EVENTS))
 
 
 class Tracer:
     """Probe-site protocol; the base class doubles as the null tracer.
 
-    Every probe method (``packet_inject``, ``packet_hop``, ``bus_grant``
-    and the rest, one per event kind) is a no-op here.  Probe sites must
-    never call them without first checking ``tracer.enabled`` — the
-    guard, not the no-op body, is what keeps the disabled path
-    allocation-free.
+    :meth:`emit` is a no-op here.  Probe sites must never call it
+    without first checking ``tracer.enabled`` — the guard, not the no-op
+    body, is what keeps the disabled path allocation-free.
     ``track()`` is called off the hot path (component construction) and
     always safe.
     """
@@ -104,39 +106,8 @@ class Tracer:
         """Register (or look up) a named track; returns its id."""
         return 0
 
-    # Probe methods — one per event kind, no-ops when tracing is off.
-    def packet_inject(self, ts, track, packet):
-        pass
-
-    def packet_hop(self, ts, track, packet_id, out_port, out_vc):
-        pass
-
-    def packet_eject(self, ts, track, packet_id, latency):
-        pass
-
-    def link_transfer(self, ts, track, packet_id, vc):
-        pass
-
-    def bus_grant(self, ts, track, packet_id, src_layer, dest_layer, vc):
-        pass
-
-    def bus_frame(self, ts, track, old_size, new_size):
-        pass
-
-    def cache_search(self, ts, track, cpu, line, step, hit):
-        pass
-
-    def search_plan(self, ts, track, cpu, step1_clusters, step2_clusters):
-        pass
-
-    def migration(self, ts, track, line, src_cluster, dest_cluster):
-        pass
-
-    def coherence(self, ts, track, kind, line, targets):
-        pass
-
-    def fault(self, ts, track, kind, target, phase):
-        pass
+    def emit(self, kind: int, ts, track: int, *payload) -> None:
+        """Record one event; ``payload`` follows ``EVENTS[kind].fields``."""
 
 
 class NullTracer(Tracer):
@@ -191,7 +162,10 @@ class RingTracer(Tracer):
 
     # -- ring ------------------------------------------------------------
 
-    def _append(self, event: tuple) -> None:
+    def emit(self, kind: int, ts, track: int, *payload) -> None:
+        if not self._track_on[track]:
+            return
+        event = (ts, kind, track) + payload
         events = self._events
         if len(events) < self.limit:
             events.append(event)
@@ -213,112 +187,6 @@ class RingTracer(Tracer):
         yield from events[head:]
         yield from events[:head]
 
-    # -- probe methods ----------------------------------------------------
-
-    def packet_inject(self, ts, track, packet):
-        if self._track_on[track]:
-            self._append(
-                (
-                    ts,
-                    PACKET_INJECT,
-                    track,
-                    packet.packet_id,
-                    tuple(packet.src),
-                    tuple(packet.dest),
-                    packet.size_flits,
-                    packet.message_class.value,
-                )
-            )
-
-    def packet_hop(self, ts, track, packet_id, out_port, out_vc):
-        if self._track_on[track]:
-            self._append((ts, PACKET_HOP, track, packet_id, out_port, out_vc))
-
-    def packet_eject(self, ts, track, packet_id, latency):
-        if self._track_on[track]:
-            self._append((ts, PACKET_EJECT, track, packet_id, latency))
-
-    def link_transfer(self, ts, track, packet_id, vc):
-        if self._track_on[track]:
-            self._append((ts, LINK_TRANSFER, track, packet_id, vc))
-
-    def bus_grant(self, ts, track, packet_id, src_layer, dest_layer, vc):
-        if self._track_on[track]:
-            self._append(
-                (ts, BUS_GRANT, track, packet_id, src_layer, dest_layer, vc)
-            )
-
-    def bus_frame(self, ts, track, old_size, new_size):
-        if self._track_on[track]:
-            self._append((ts, BUS_FRAME, track, old_size, new_size))
-
-    def cache_search(self, ts, track, cpu, line, step, hit):
-        if self._track_on[track]:
-            self._append((ts, CACHE_SEARCH, track, cpu, line, step, hit))
-
-    def search_plan(self, ts, track, cpu, step1_clusters, step2_clusters):
-        if self._track_on[track]:
-            self._append(
-                (ts, SEARCH_PLAN, track, cpu, step1_clusters, step2_clusters)
-            )
-
-    def migration(self, ts, track, line, src_cluster, dest_cluster):
-        if self._track_on[track]:
-            self._append((ts, MIGRATION, track, line, src_cluster, dest_cluster))
-
-    def coherence(self, ts, track, kind, line, targets):
-        if self._track_on[track]:
-            self._append((ts, COHERENCE, track, kind, line, targets))
-
-    def fault(self, ts, track, kind, target, phase):
-        if self._track_on[track]:
-            self._append((ts, FAULT, track, kind, target, phase))
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """Declarative tracing request, embeddable in a frozen ``SimSpec``.
-
-    ``format`` is ``"chrome"`` or ``"jsonl"``; ``limit`` bounds the event
-    ring; ``component_filter`` is an fnmatch glob over track names (e.g.
-    ``"pillar.*"``).
-    """
-
-    format: str = "chrome"
-    limit: int = 1_000_000
-    component_filter: Optional[str] = None
-
-    FORMATS = ("chrome", "jsonl")
-
-    def __post_init__(self) -> None:
-        if self.format not in self.FORMATS:
-            raise ValueError(
-                f"unknown trace format {self.format!r}; "
-                f"choose from {list(self.FORMATS)}"
-            )
-        if self.limit <= 0:
-            raise ValueError("trace limit must be positive")
-
-    def make_tracer(self) -> RingTracer:
-        return RingTracer(limit=self.limit, component_filter=self.component_filter)
-
-    def filename_suffix(self) -> str:
-        return ".trace.json" if self.format == "chrome" else ".trace.jsonl"
-
-    def to_dict(self) -> dict:
-        data: dict = {"format": self.format, "limit": self.limit}
-        if self.component_filter is not None:
-            data["component_filter"] = self.component_filter
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        return cls(
-            format=data.get("format", "chrome"),
-            limit=data.get("limit", 1_000_000),
-            component_filter=data.get("component_filter"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Exporters
@@ -326,50 +194,6 @@ class TraceSpec:
 
 # How long each point event is drawn in the Chrome timeline, in cycles.
 _SLICE_DUR = 1.0
-
-
-def _chrome_slice(kind: int, payload: tuple) -> tuple[str, str, dict]:
-    """(name, category, args) for one event's B/E slice."""
-    args = dict(zip(_FIELDS[kind], payload))
-    if kind == PACKET_INJECT:
-        return f"inject p{payload[0]}", "packet", args
-    if kind == PACKET_HOP:
-        return f"p{payload[0]} -> {payload[1]}", "packet", args
-    if kind == PACKET_EJECT:
-        return f"eject p{payload[0]}", "packet", args
-    if kind == LINK_TRANSFER:
-        return f"link p{payload[0]}", "packet", args
-    if kind == BUS_GRANT:
-        return (
-            f"slot p{payload[0]} L{payload[1]}->L{payload[2]}",
-            "dtdma",
-            args,
-        )
-    if kind == BUS_FRAME:
-        return f"frame {payload[0]}->{payload[1]}", "dtdma", args
-    if kind == CACHE_SEARCH:
-        label = "hit" if payload[3] else "miss"
-        return f"search cpu{payload[0]} step{payload[2]} {label}", "cache", args
-    if kind == SEARCH_PLAN:
-        return f"search_plan cpu{payload[0]}", "cache", args
-    if kind == MIGRATION:
-        return f"migrate {payload[1]}->{payload[2]}", "cache", args
-    if kind == COHERENCE:
-        return f"coherence {payload[0]}", "coherence", args
-    if kind == FAULT:
-        return f"fault {payload[0]} {payload[1]} {payload[2]}", "fault", args
-    raise ValueError(f"unknown event kind {kind}")
-
-
-# Flow-event phase per packet-lifetime kind: "s" starts the flow at
-# inject, "t" continues it at every hop, "f" finishes it at eject.
-_FLOW_PHASE = {
-    PACKET_INJECT: "s",
-    PACKET_HOP: "t",
-    LINK_TRANSFER: "t",
-    BUS_GRANT: "t",
-    PACKET_EJECT: "f",
-}
 
 
 def write_chrome_trace(tracer: RingTracer, stream: IO[str]) -> int:
@@ -426,27 +250,24 @@ def write_chrome_trace(tracer: RingTracer, stream: IO[str]) -> int:
         # built search plan stamped at ts 0).
         events.sort(key=lambda event: event[0])
         for event in events:
-            ts, kind = float(event[0]), event[1]
+            ts, row = float(event[0]), EVENTS[event[1]]
             payload = event[3:]
-            name, category, args = _chrome_slice(kind, payload)
             trace_events.append(
                 {
                     "ph": "B",
-                    "name": name,
-                    "cat": category,
+                    "name": row.label(payload),
+                    "cat": row.category,
                     "pid": 1,
                     "tid": tid,
                     "ts": ts,
-                    "args": args,
+                    "args": dict(zip(row.fields, payload)),
                 }
             )
             # A packet whose inject was overwritten in the ring has no
             # flow start; suppress its later flow steps so the document
             # stays strictly valid.
-            flow_phase = _FLOW_PHASE.get(kind)
-            if flow_phase is not None and payload[0] not in started_flows:
-                flow_phase = None
-            if flow_phase is not None:
+            flow_phase = row.flow
+            if flow_phase is not None and payload[0] in started_flows:
                 flow: dict = {
                     "ph": flow_phase,
                     "name": "packet",
@@ -502,33 +323,88 @@ def write_jsonl(tracer: RingTracer, stream: IO[str]) -> int:
     stream.write(json.dumps(header) + "\n")
     count = 0
     for event in tracer.events():
-        kind = event[1]
+        row = EVENTS[event[1]]
         record = {
             "ts": float(event[0]),
-            "event": EVENT_NAMES[kind],
+            "event": row.name,
             "track": track_names[event[2]],
         }
-        record.update(zip(_FIELDS[kind], event[3:]))
+        record.update(zip(row.fields, event[3:]))
         stream.write(json.dumps(record) + "\n")
         count += 1
     return count
 
 
+#: Export formats: ``{format: (writer, file suffix)}``.
+_FORMATS = {
+    "chrome": (write_chrome_trace, ".trace.json"),
+    "jsonl": (write_jsonl, ".trace.jsonl"),
+}
+
+
+def _exporter(format: str) -> tuple[Callable, str]:
+    """``format``'s ``(writer, suffix)``; ``ValueError`` if it is unknown."""
+    try:
+        return _FORMATS[format]
+    except KeyError:
+        raise ValueError(
+            f"unknown trace format {format!r}; choose from {list(_FORMATS)}"
+        ) from None
+
+
 def write_trace(
     tracer: RingTracer, path: str, format: str = "chrome"
 ) -> tuple[int, int]:
-    """Export ``tracer`` to ``path``; returns ``(written, dropped)``."""
+    """Export ``tracer`` to ``path``; returns ``(written, dropped)``.
+
+    An unknown ``format`` raises before ``path`` is opened, so an
+    existing file there is left as it was.
+    """
+    writer, __ = _exporter(format)
     with open(path, "w", encoding="utf-8") as stream:
-        if format == "chrome":
-            written = write_chrome_trace(tracer, stream)
-        elif format == "jsonl":
-            written = write_jsonl(tracer, stream)
-        else:
-            raise ValueError(
-                f"unknown trace format {format!r}; "
-                f"choose from {list(TraceSpec.FORMATS)}"
-            )
+        written = writer(tracer, stream)
     return written, tracer.dropped
+
+
+@dataclass(frozen=True)
+class TraceSpec:
+    """Declarative tracing request, embeddable in a frozen ``SimSpec``.
+
+    ``format`` is ``"chrome"`` or ``"jsonl"``; ``limit`` bounds the event
+    ring; ``component_filter`` is an fnmatch glob over track names (e.g.
+    ``"pillar.*"``).
+    """
+
+    format: str = "chrome"
+    limit: int = 1_000_000
+    component_filter: Optional[str] = None
+
+    FORMATS = tuple(_FORMATS)
+
+    def __post_init__(self) -> None:
+        _exporter(self.format)
+        if self.limit <= 0:
+            raise ValueError("trace limit must be positive")
+
+    def make_tracer(self) -> RingTracer:
+        return RingTracer(limit=self.limit, component_filter=self.component_filter)
+
+    def filename_suffix(self) -> str:
+        return _FORMATS[self.format][1]
+
+    def to_dict(self) -> dict:
+        data: dict = {"format": self.format, "limit": self.limit}
+        if self.component_filter is not None:
+            data["component_filter"] = self.component_filter
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TraceSpec":
+        return cls(
+            format=data.get("format", "chrome"),
+            limit=data.get("limit", 1_000_000),
+            component_filter=data.get("component_filter"),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ class TestSurface:
         assert status == 400
         assert body["error"]["kind"] == "bad_request"
         assert "'vector'" in body["error"]["message"]
+        # So is a chip that does not tile, here one with three layers.
+        untiled = {**make_spec().to_dict(), "layers": 3}
+        status, _, body = client._request("POST", "/jobs", {
+            "protocol_version": PROTOCOL_VERSION, "specs": [untiled],
+        })
+        assert status == 400
+        assert body["error"]["kind"] == "bad_request"
+        assert "layer count 3" in body["error"]["message"]
         # A spec with no references per CPU is refused at submission, not
         # failed later as a cell.
         for refs in (0, -5):

@@ -1,6 +1,6 @@
-"""Trace round-trip and zero-perturbation tests.
+"""Trace round-trip, schema and zero-perturbation tests.
 
-Two promises are checked on a 4x4x2 pillar mesh under uniform random
+Three promises are checked on a 4x4x2 pillar mesh under uniform random
 traffic:
 
 * **Export fidelity** — a traced run exports Chrome-trace JSON that
@@ -12,18 +12,34 @@ traffic:
   statistics snapshot is bit-identical to an untraced run, and the
   optimized fabric with a tracer still matches the frozen reference
   fabric (which carries no probe sites at all).
+* **Stable export bytes** — the Chrome and JSONL documents of fixed runs
+  hash to recorded digests.
+
+Beyond the mesh, one hand-built cycle-mode run emits every event kind
+in ``EVENTS``, so no row of the schema is dead.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
 
+import pytest
+
+from repro.core.schemes import Scheme
+from repro.core.system import NetworkInMemory, SystemConfig
+from repro.cpu.trace import OP_IFETCH, OP_READ, OP_WRITE
+from repro.experiments.config import ExperimentScale
+from repro.experiments.spec import SimSpec, simulate
+from repro.faults.spec import FaultSpec
 from repro.noc.network import Network, NetworkConfig
 from repro.sim.trace import (
+    EVENTS,
     NullTracer,
     RingTracer,
+    TraceSpec,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -120,3 +136,91 @@ class TestZeroPerturbation:
         assert reference.stats.snapshot() == traced.stats.snapshot()
         assert reference.engine.cycle == traced.engine.cycle
         assert reference.in_flight == traced.in_flight
+
+
+class TestEveryKindIsLive:
+    def test_one_run_emits_every_kind(self):
+        tracer = RingTracer()
+        # One pillar is dead from the start: fault.
+        system = NetworkInMemory(SystemConfig(
+            scheme=Scheme.CMP_DNUCA_3D, mode="cycle", tracer=tracer,
+            faults=FaultSpec(dead_pillars=1),
+        ))
+        # Address bits 16-19 pick a line's home cluster.  Cluster 11 is
+        # on the upper layer, far from CPU 0 on the lower one.
+        far, shared = 11 << 16, 5 << 16
+        traces = [[] for __ in range(8)]
+        traces[0] = [
+            # A miss: the search reaches the upper layer over a pillar,
+            # so packets inject, hop and eject, and the bus frames and
+            # grants slots.  Each CPU's first access stamps its search
+            # plan, and every L2 access records a cache search.
+            (0, OP_READ, far),
+            # The fetch misses the I-cache.  Its L2 hit is CPU 0's
+            # second access in a row to the line, which migrates it.
+            (0, OP_IFETCH, far),
+        ]
+        # CPU 2 stores, long after CPU 1 has read the line, and
+        # invalidates CPU 1's copy: coherence.
+        traces[1] = [(0, OP_READ, shared)]
+        traces[2] = [(10_000, OP_WRITE, shared)]
+        system.run_trace(traces)
+
+        assert tracer.dropped == 0
+        emitted = {EVENTS[event[1]].name for event in tracer.events()}
+        assert emitted == {row.name for row in EVENTS}
+        buf = io.StringIO()
+        write_chrome_trace(tracer, buf)
+        validate_chrome_trace(buf.getvalue())
+
+
+def _mesh_tracer(limit=1_000_000):
+    tracer = RingTracer(limit=limit)
+    _drive(tracer=tracer)
+    return tracer
+
+
+def _model_cell_tracer():
+    # Model mode flies no packets: cache searches, search plans,
+    # migrations and the dead pillar's fault event.
+    spec = SimSpec(
+        scheme=Scheme.CMP_DNUCA_3D,
+        benchmark="swim",
+        scale=ExperimentScale(name="pinned", refs_per_cpu=200),
+        trace=TraceSpec(),
+        faults=FaultSpec(dead_pillars=1),
+    )
+    system, __ = simulate(spec)
+    return system.tracer
+
+
+@pytest.mark.parametrize("make_tracer, chrome, jsonl", [
+    pytest.param(
+        _mesh_tracer,
+        "fbfd2fce383c4b7ef63c88e14031a018c8fecdb6c24e61175a4e80ce50a43fb3",
+        "e6d9f849a664d9443fc563bc400fdfa5a8435f364f4e08e20e74a39b0ead3a9e",
+        id="mesh",
+    ),
+    # A 500-event ring overwrites most injects, so flows are suppressed.
+    pytest.param(
+        lambda: _mesh_tracer(limit=500),
+        "73dd80bdc8fdd70bd2396bb7851610bb8d853ec3b57b048e6bd99db8cfce1466",
+        "e5af747c2008eace288968e490e9c10cacbe5b894154a3812ea3ebd35edad1f1",
+        id="mesh-ring-500",
+    ),
+    pytest.param(
+        _model_cell_tracer,
+        "473715e9207f082f916793c4fcea77c207519822a2c84e230cfc532724fbbe49",
+        "301b1401b952ba70c6910d934b7c9cc10df56ed5af44c7a43ceef4a203242dbc",
+        id="model-cell",
+    ),
+])
+def test_export_bytes_are_pinned(make_tracer, chrome, jsonl):
+    # A change to either document's bytes must update these on purpose.
+    tracer = make_tracer()
+    digests = []
+    for writer in (write_chrome_trace, write_jsonl):
+        buf = io.StringIO()
+        writer(tracer, buf)
+        digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    assert digests == [chrome, jsonl]

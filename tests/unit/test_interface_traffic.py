@@ -1,10 +1,8 @@
-"""Unit tests for NICs, flits/packets, links, and traffic generators."""
+"""Unit tests for NICs, flits/packets, and traffic generators."""
 
 import pytest
 
-from repro.sim.engine import Engine
 from repro.noc.flit import Flit, FlitType
-from repro.noc.link import Link
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.packet import MessageClass, Packet
 from repro.noc.routing import Coord
@@ -54,33 +52,6 @@ class TestFlitsAndPackets:
         a = Packet(Coord(0, 0, 0), Coord(1, 0, 0))
         b = Packet(Coord(0, 0, 0), Coord(1, 0, 0))
         assert a.packet_id != b.packet_id
-
-
-class TestLink:
-    def test_zero_latency_immediate(self):
-        engine = Engine()
-        seen = []
-        link = Link(engine, lambda f, v: seen.append((f, v)), latency=0)
-        packet = Packet(Coord(0, 0, 0), Coord(1, 0, 0), size_flits=1)
-        flit = packet.make_flits()[0]
-        link.send(flit, 2)
-        assert seen == [(flit, 2)]
-
-    def test_delayed_delivery(self):
-        engine = Engine()
-        seen = []
-        link = Link(engine, lambda f, v: seen.append(v), latency=3)
-        packet = Packet(Coord(0, 0, 0), Coord(1, 0, 0), size_flits=1)
-        link.send(packet.make_flits()[0], 0)
-        engine.run(2)
-        assert seen == []
-        engine.run(2)
-        assert seen == [0]
-        assert link.flits_carried == 1
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            Link(Engine(), lambda f, v: None, latency=-1)
 
 
 class TestNic:

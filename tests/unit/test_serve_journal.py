@@ -167,6 +167,37 @@ class TestRecovery:
         assert leased == 2  # requeued cells are leasable immediately
         assert stats["journal_enabled"] is True
 
+    def test_job_holding_a_chip_that_does_not_place_is_dropped(
+        self, tmp_path
+    ):
+        # A journal written before specs checked their chip can hold a
+        # three-layer cell; recovery drops its job as unreadable.
+        async def before():
+            store = await fresh_store(tmp_path)
+            try:
+                return (await store.submit([make_spec()], tenant="a")).job_id
+            finally:
+                await store.close()
+
+        job_id = run(before())
+        records = read_records(tmp_path)
+        for record in records:
+            for spec in record.get("specs") or ():
+                spec["layers"] = 3
+        with open(journal_path(tmp_path), "w") as handle:
+            handle.writelines(json.dumps(record) + "\n" for record in records)
+
+        async def after():
+            store = await fresh_store(tmp_path)
+            try:
+                return job_id in store._jobs, dict(store.totals)
+            finally:
+                await store.close()
+
+        recovered, totals = run(after())
+        assert not recovered
+        assert totals["jobs_recovered"] == 0
+
     def test_failed_cells_recover_as_failed(self, tmp_path):
         spec = make_spec()
         error = {"kind": "worker_crash", "message": "boom", "attempts": 2}

@@ -41,6 +41,16 @@ class TestRoundTrip:
         data["fabric"] = "optimized"
         assert SimSpec.from_dict(data) == spec
 
+    def test_chip_that_does_not_place_rejected(self):
+        # Three layers do not tile: the spec itself refuses them, so no
+        # worker is ever handed the cell.
+        with pytest.raises(ValueError, match="layer count 3"):
+            SimSpec.make(Scheme.CMP_DNUCA_3D, "swim", layers=3)
+        data = make_spec().to_dict()
+        data["layers"] = 3
+        with pytest.raises(ValueError, match="layer count 3"):
+            SimSpec.from_dict(data)
+
     def test_make_fills_ambient_scale_and_seed(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         spec = SimSpec.make(Scheme.CMP_DNUCA_2D, "swim")
@@ -147,17 +157,20 @@ scales = st.builds(
     warmup_fraction=st.floats(0.0, 1.0, exclude_max=True),
     seed=st.integers(0, 2**31),
 )
-specs = st.builds(
-    SimSpec,
-    scheme=st.sampled_from(list(Scheme)),
-    benchmark=st.sampled_from(["art", "swim", "mgrid"]),
-    scale=scales,
-    layers=st.sampled_from([1, 2, 4]),
-    pillars=st.sampled_from([2, 4, 8]),
-    cache_mb=st.sampled_from([16, 32, 64]),
-    seed=st.integers(0, 2**31),
-    num_cpus=st.sampled_from([4, 8, 16]),
-    fixed_floorplan=st.booleans(),
+# A 3D chip needs two or four layers; a 2D scheme ignores the count.
+specs = st.sampled_from(list(Scheme)).flatmap(
+    lambda scheme: st.builds(
+        SimSpec,
+        scheme=st.just(scheme),
+        benchmark=st.sampled_from(["art", "swim", "mgrid"]),
+        scale=scales,
+        layers=st.sampled_from([2, 4] if scheme.is_3d else [1, 2, 4]),
+        pillars=st.sampled_from([2, 4, 8]),
+        cache_mb=st.sampled_from([16, 32, 64]),
+        seed=st.integers(0, 2**31),
+        num_cpus=st.sampled_from([4, 8, 16]),
+        fixed_floorplan=st.booleans(),
+    )
 )
 
 

@@ -5,10 +5,17 @@ import json
 
 import pytest
 
-from repro.noc.packet import MessageClass, Packet
+import repro.sim.trace as trace_module
+from repro.noc.network import Network, NetworkConfig
 from repro.noc.routing import Coord
 from repro.sim.trace import (
+    BUS_FRAME,
+    BUS_GRANT,
+    EVENTS,
     NULL_TRACER,
+    PACKET_EJECT,
+    PACKET_HOP,
+    PACKET_INJECT,
     NullTracer,
     RingTracer,
     TraceSpec,
@@ -19,37 +26,40 @@ from repro.sim.trace import (
 )
 
 
-def _packet(packet_id=7):
-    packet = Packet(
-        src=Coord(0, 0, 0),
-        dest=Coord(1, 1, 1),
-        size_flits=4,
-        message_class=MessageClass.REQUEST,
-    )
-    packet.packet_id = packet_id  # pin the id so assertions are stable
-    return packet
-
-
 class TestNullTracer:
     def test_disabled_and_inert(self):
         tracer = NullTracer()
         assert tracer.enabled is False
         assert tracer.track("router.0.0.0") == 0
-        # Probe methods are no-ops; nothing to observe but no crash either.
-        tracer.packet_hop(1, 0, 7, "EAST", 0)
-        tracer.bus_frame(2, 0, 1, 3)
+        # emit() is a no-op; nothing to observe but no crash either.
+        tracer.emit(PACKET_HOP, 1, 0, 7, "EAST", 0)
+        tracer.emit(BUS_FRAME, 2, 0, 1, 3)
 
     def test_module_singleton(self):
         assert isinstance(NULL_TRACER, NullTracer)
         assert NULL_TRACER.enabled is False
 
 
+class TestEventSchema:
+    def test_kind_constants_index_their_rows(self):
+        # PACKET_INJECT names row "packet_inject", and so on: the
+        # constants and the table cannot drift apart.
+        for index, row in enumerate(EVENTS):
+            assert getattr(trace_module, row.name.upper()) == index
+
+    def test_only_packet_kinds_carry_flows(self):
+        # A flow's id is the event's first payload field.
+        for row in EVENTS:
+            if row.flow is not None:
+                assert row.fields[0] == "packet_id"
+
+
 class TestRingTracer:
     def test_records_in_order(self):
         tracer = RingTracer()
         track = tracer.track("router.0.0.0")
-        tracer.packet_hop(5, track, 1, "EAST", 0)
-        tracer.packet_eject(9, track, 1, 4)
+        tracer.emit(PACKET_HOP, 5, track, 1, "EAST", 0)
+        tracer.emit(PACKET_EJECT, 9, track, 1, 4)
         events = list(tracer.events())
         assert [event[0] for event in events] == [5, 9]
         assert tracer.recorded == 2
@@ -59,7 +69,7 @@ class TestRingTracer:
         tracer = RingTracer(limit=3)
         track = tracer.track("t")
         for ts in range(5):
-            tracer.packet_hop(ts, track, ts, "EAST", 0)
+            tracer.emit(PACKET_HOP, ts, track, ts, "EAST", 0)
         assert tracer.recorded == 3
         assert tracer.dropped == 2
         # Oldest two (ts 0, 1) were overwritten; survivors oldest-first.
@@ -80,8 +90,8 @@ class TestRingTracer:
         pillar = tracer.track("pillar.3.3")
         assert not tracer.track_enabled(router)
         assert tracer.track_enabled(pillar)
-        tracer.packet_hop(1, router, 1, "EAST", 0)
-        tracer.bus_grant(2, pillar, 1, 0, 1, 0)
+        tracer.emit(PACKET_HOP, 1, router, 1, "EAST", 0)
+        tracer.emit(BUS_GRANT, 2, pillar, 1, 0, 1, 0)
         events = list(tracer.events())
         assert len(events) == 1
         assert events[0][2] == pillar
@@ -89,11 +99,17 @@ class TestRingTracer:
         assert tracer.dropped == 0
 
     def test_packet_inject_captures_packet_fields(self):
+        # The NIC's inject probe records the packet's fields.
         tracer = RingTracer()
-        track = tracer.track("router.0.0.0")
-        tracer.packet_inject(3, track, _packet(packet_id=42))
-        (event,) = tracer.events()
-        assert event[3] == 42
+        network = Network(
+            NetworkConfig(width=2, height=2, layers=2,
+                          pillar_locations=((0, 0),)),
+            tracer=tracer,
+        )
+        packet = network.send(Coord(0, 0, 0), Coord(1, 1, 1))
+        network.quiesce()
+        (event,) = [e for e in tracer.events() if e[1] == PACKET_INJECT]
+        assert event[3] == packet.packet_id
         assert event[4] == (0, 0, 0)
         assert event[5] == (1, 1, 1)
 
@@ -135,12 +151,13 @@ def _sample_tracer():
     router = tracer.track("router.0.0.0")
     pillar = tracer.track("pillar.3.3")
     empty = tracer.track("cluster.0")  # registered but never records
-    packet = _packet(packet_id=11)
-    tracer.packet_inject(0, router, packet)
-    tracer.packet_hop(1, router, 11, "UP", 0)
-    tracer.bus_grant(2, pillar, 11, 0, 1, 0)
-    tracer.packet_eject(5, router, 11, 5)
-    tracer.bus_frame(3, pillar, 0, 2)
+    tracer.emit(
+        PACKET_INJECT, 0, router, 11, (0, 0, 0), (1, 1, 1), 4, "request"
+    )
+    tracer.emit(PACKET_HOP, 1, router, 11, "UP", 0)
+    tracer.emit(BUS_GRANT, 2, pillar, 11, 0, 1, 0)
+    tracer.emit(PACKET_EJECT, 5, router, 11, 5)
+    tracer.emit(BUS_FRAME, 3, pillar, 0, 2)
     return tracer, empty
 
 
@@ -177,7 +194,7 @@ class TestChromeExport:
         tracer = RingTracer(limit=2)
         track = tracer.track("t")
         for ts in range(4):
-            tracer.packet_hop(ts, track, ts, "EAST", 0)
+            tracer.emit(PACKET_HOP, ts, track, ts, "EAST", 0)
         buf = io.StringIO()
         write_chrome_trace(tracer, buf)
         document = json.loads(buf.getvalue())
@@ -215,8 +232,12 @@ class TestWriteTrace:
 
     def test_unknown_format_rejected(self, tmp_path):
         tracer, __ = _sample_tracer()
+        target = tmp_path / "x"
+        target.write_text("earlier run\n")
         with pytest.raises(ValueError, match="unknown trace format"):
-            write_trace(tracer, str(tmp_path / "x"), "xml")
+            write_trace(tracer, str(target), "xml")
+        # The format is checked before the file is opened for writing.
+        assert target.read_text() == "earlier run\n"
 
 
 class TestValidateChromeTrace:
