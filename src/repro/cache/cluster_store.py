@@ -145,7 +145,7 @@ class ClusterStore:
         ways = self._sets.get(index)
         if ways is None:
             return self.ways
-        return sum(1 for entry in ways if entry is None)
+        return ways.count(None)
 
     def entries(self) -> Iterator[tuple[int, int, LineEntry]]:
         """All resident lines as (index, way, entry)."""

@@ -28,16 +28,23 @@ Every figure is priced through :meth:`LatencyModel.packet_latency` and
 search round at a time.  All four look a packet's path up in a
 ``(src, dest)`` memo and age the load estimates only when the cycle has
 advanced.  ``packet_latency`` with ``record`` adds the packet's load
-itself, and the two round kernels price and record each packet, with
-the float operations of ``packet_latency`` and ``note_packet`` in the
-same order, so no simulated number depends on which of them priced or
-recorded it.
+itself.  A round's table, compiled once per ``(src, targets, flits)``,
+marks the (query, reply) pairs that can set the round's worst.  A pair
+that a later pair dominates leg by leg (at least as many hops, and the
+same pillar or none crossed) cannot: loads only grow along a round, and
+under the bounds :class:`LatencyModelConfig` validates a leg's latency
+never falls as its hops or the load grow.  ``query_round`` prices the
+marked pairs with the float operations of ``packet_latency`` in the
+same order.  Every other packet, and every query of a multicast, adds
+its load one packet at a time in packet order, as ``note_packet``
+would.  So no simulated number depends on which of them priced or
+recorded a packet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import NamedTuple, Optional, TYPE_CHECKING
 
 from repro.noc.routing import Coord, best_pillar
 from repro.core.chip import ChipTopology
@@ -48,18 +55,48 @@ if TYPE_CHECKING:
 #: A packet's path: (mesh hops, pillar crossed or None).
 Path = tuple[int, Optional[tuple[int, int]]]
 
-#: One packet of a compiled search round: (mesh hops, pillar or None,
-#: flit-hops, flit_hops * 0.693 / window, flits * 0.693 / window).
-Route = tuple[int, Optional[tuple[int, int]], int, float, float]
+#: A memoized path: (mesh hops, number of the pillar crossed or None).
+#: A pillar's number is its index in ``ChipTopology.pillar_xys``.
+Route = tuple[int, Optional[int]]
 
-#: A search round's (query, reply) routes, one pair per target that is
-#: not the requester itself, in target order.
-RoundTable = tuple[tuple[Route, Route], ...]
+#: A packet that ``query_round`` prices: (mesh hops, pillar number or
+#: None, flit_hops * 0.693 / window).
+Leg = tuple[int, Optional[int], float]
+
+#: Packets recorded without being priced, in packet order: their mesh
+#: loads, the numbers of the pillars they cross (one entry per packet),
+#: and their flit-hops and pillar flits, each summed.
+Run = tuple[tuple[float, ...], tuple[int, ...], int, int]
+
+#: One step of a search round: the mesh loads and pillar numbers of the
+#: pairs before it that cannot set the round's worst, in packet order,
+#: then a (query, reply) pair that can.
+Step = tuple[tuple[float, ...], tuple[int, ...], tuple[Leg, Leg]]
 
 
-@dataclass
+class RoundTable(NamedTuple):
+    """A round of tag queries, compiled for both kernels.
+
+    A target equal to the requester gets no pair.  ``steps`` cover every
+    other target's (query, reply) pair in target order, and the last pair
+    always ends a step.
+    """
+
+    steps: tuple[Step, ...]
+    flit_hops: int       # of every query and reply, summed
+    bus_flits: int       # pillar flits of every query and reply, summed
+    queries: Run         # the queries alone, as a multicast records them
+    bus_load: float      # flits * 0.693 / window: one pillar packet's load
+
+
+@dataclass(frozen=True)
 class LatencyModelConfig:
-    """Tunables of the analytic latency model."""
+    """Tunables of the analytic latency model.
+
+    Frozen, because a model reads them once when it is built.  The
+    bounds are the preconditions under which a packet's latency never
+    falls as its hops or the load grow, which the round kernels rely on.
+    """
 
     hop_cycles: float = 2.0          # per mesh hop (1 router + 1 wire)
     injection_overhead: float = 1.0  # NIC inject + eject, measured
@@ -69,6 +106,51 @@ class LatencyModelConfig:
     mesh_capacity_factor: float = 0.40   # saturation flits/node/cycle
     load_window: float = 2048.0      # cycles of EMA memory for load
     max_utilization: float = 0.95    # clamp to keep waits finite
+
+    def __post_init__(self) -> None:
+        for name in (
+            "hop_cycles", "injection_overhead", "bus_overhead",
+            "q_mesh", "q_bus",
+        ):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        for name in ("mesh_capacity_factor", "load_window"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if not 0 <= self.max_utilization < 1:
+            raise ValueError(
+                f"max_utilization must be in [0, 1), "
+                f"got {self.max_utilization!r}"
+            )
+
+
+def _dominates(later: tuple[Leg, Leg], pair: tuple[Leg, Leg]) -> bool:
+    """Whether a ``later`` pair of a round totals at least ``pair``.
+
+    Leg by leg, ``later`` must have at least as many hops and cross the
+    same pillar, unless ``pair``'s leg crosses none.  Along a round the
+    mesh rate and every pillar's rate only grow; a leg's latency never
+    falls as its hops or those rates grow, and crossing a pillar only
+    adds to it.  So ``later`` totals at least as much under any load.
+    """
+    return all(
+        hops <= later_hops and (number is None or number == later_number)
+        for (hops, number, __), (later_hops, later_number, __)
+        in zip(pair, later)
+    )
+
+
+def _run(legs: list[Leg], flits: int) -> Run:
+    """The loads of ``legs``, to be recorded unpriced in their order."""
+    pillars = tuple(number for __, number, __ in legs if number is not None)
+    return (
+        tuple(mesh_load for __, __, mesh_load in legs),
+        pillars,
+        sum(hops for hops, __, __ in legs) * flits,
+        len(pillars) * flits,
+    )
 
 
 class LatencyModel:
@@ -80,28 +162,42 @@ class LatencyModel:
 
     def __init__(self, topology: ChipTopology, config: Optional[LatencyModelConfig] = None):
         self.topology = topology
-        self.config = config or LatencyModelConfig()
+        self.config = cfg = config or LatencyModelConfig()
         width, height = topology.config.mesh_dims
-        self._num_nodes = width * height * topology.config.num_layers
+        num_nodes = width * height * topology.config.num_layers
+        # Read once per call by the pricing paths, in this order.
+        self._constants = (
+            num_nodes * cfg.mesh_capacity_factor,  # mesh capacity
+            cfg.max_utilization,
+            cfg.injection_overhead,
+            cfg.hop_cycles,
+            cfg.q_mesh,
+            cfg.q_bus,
+            cfg.bus_overhead,
+        )
+        self._window = cfg.load_window
         # Load accounting: decaying rates, advanced lazily per report.
         self._last_cycle = 0.0
         self._mesh_rate = 0.0                     # flit-hops per cycle
-        self._bus_rate: dict[tuple[int, int], float] = {
-            xy: 0.0 for xy in topology.pillar_xys
+        self._pillar_xys = tuple(topology.pillar_xys)
+        self._pillar_numbers = {
+            xy: number for number, xy in enumerate(self._pillar_xys)
         }
+        # Flits per cycle on each pillar, indexed by pillar number.
+        self._bus_rate = [0.0] * len(self._pillar_xys)
         # The run's traffic for RunStats (cycle mode's fabric adds to it).
         self.flit_hops_total = 0.0
         self.bus_flits_total = 0.0
-        # (src, dest) -> (hops, pillar or None), filled by path().  A path
-        # depends only on the alive pillars, so every fault change
+        # (src, dest) -> (hops, pillar number or None), filled by path().
+        # A path depends only on the alive pillars, so every fault change
         # rebuilds the alive tuple and clears the memo (no fault state =
         # fault-free).
-        self._paths: dict[tuple[Coord, Coord], Path] = {}
+        self._paths: dict[tuple[Coord, Coord], Route] = {}
         # (src, targets, flits) -> RoundTable, compiled from the path
         # memo by _compile_round() and cleared with it.
         self._rounds: dict[tuple[Coord, tuple[Coord, ...], int], RoundTable] = {}
         self._faults: Optional["FaultState"] = None
-        self._alive_pillars = tuple(topology.pillar_xys)
+        self._alive_pillars = self._pillar_xys
 
     def attach_fault_state(self, state: "FaultState") -> None:
         """Bind pillar-fault state; dead pillars leave the route pool."""
@@ -113,7 +209,7 @@ class LatencyModel:
         """Re-derive the alive pillars; forget every path and round table."""
         dead = self._faults.dead_pillars
         self._alive_pillars = tuple(
-            xy for xy in self.topology.pillar_xys if xy not in dead
+            xy for xy in self._pillar_xys if xy not in dead
         )
         self._paths.clear()
         self._rounds.clear()
@@ -128,44 +224,70 @@ class LatencyModel:
         rule, and so still raises ``ValueError`` when no pillar is alive.
         """
         found = self._paths.get((src, dest))
-        if found is not None:
-            return found
-        if src.z == dest.z:
-            found = (src.manhattan_2d(dest), None)
-        else:
-            pillar = best_pillar(src, dest, self._alive_pillars)
-            px, py = pillar
-            hops = (
-                abs(src.x - px) + abs(src.y - py)
-                + abs(dest.x - px) + abs(dest.y - py)
-            )
-            found = (hops, pillar)
-        self._paths[src, dest] = found
-        return found
+        if found is None:
+            if src.z == dest.z:
+                found = (src.manhattan_2d(dest), None)
+            else:
+                pillar = best_pillar(src, dest, self._alive_pillars)
+                px, py = pillar
+                hops = (
+                    abs(src.x - px) + abs(src.y - py)
+                    + abs(dest.x - px) + abs(dest.y - py)
+                )
+                found = (hops, self._pillar_numbers[pillar])
+            self._paths[src, dest] = found
+        hops, number = found
+        return hops, None if number is None else self._pillar_xys[number]
+
+    def _route(self, src: Coord, dest: Coord) -> Route:
+        """The memoized route of a pair the memo misses; path() fills it."""
+        self.path(src, dest)
+        return self._paths[src, dest]
 
     def _compile_round(
         self, src: Coord, targets: tuple[Coord, ...], flits: int
     ) -> RoundTable:
-        """Compile and store the routes of a round of tag queries.
+        """Compile and store the table of a round of tag queries.
 
         The kernels read the table under ``(src, targets, flits)`` until
-        the next fault change.  A target equal to ``src`` gets no entry.
-        The paths come from the path memo, so with every pillar dead a
-        cross-layer target raises ``ValueError`` and nothing is stored.
+        the next fault change.  A pair ends a step, and is priced, unless
+        a later pair dominates it (:func:`_dominates`).  The paths come
+        from the path memo, so with every pillar dead a cross-layer
+        target raises ``ValueError`` and nothing is stored.
         """
+        if flits < 1:
+            raise ValueError(f"a packet is at least 1 flit, got {flits!r}")
         paths = self._paths
-        window = self.config.load_window
-        bus_load = flits * 0.693 / window
+        window = self._window
 
-        def route(a: Coord, b: Coord) -> Route:
-            hops, pillar = paths.get((a, b)) or self.path(a, b)
+        def leg(a: Coord, b: Coord) -> Leg:
+            hops, number = paths.get((a, b)) or self._route(a, b)
             flit_hops = hops * flits
-            return hops, pillar, flit_hops, flit_hops * 0.693 / window, bus_load
+            return hops, number, flit_hops * 0.693 / window
 
-        table = self._rounds[src, targets, flits] = tuple(
-            (route(src, target), route(target, src))
+        pairs = [
+            (leg(src, target), leg(target, src))
             for target in targets
             if target != src
+        ]
+        steps = []
+        unpriced: list[Leg] = []
+        for j, pair in enumerate(pairs):
+            if any(_dominates(later, pair) for later in pairs[j + 1:]):
+                unpriced += pair
+            else:
+                mesh_loads, pillars, __, __ = _run(unpriced, flits)
+                steps.append((mesh_loads, pillars, pair))
+                unpriced = []
+        __, __, flit_hops, bus_flits = _run(
+            [leg for pair in pairs for leg in pair], flits
+        )
+        table = self._rounds[src, targets, flits] = RoundTable(
+            tuple(steps),
+            flit_hops,
+            bus_flits,
+            _run([query for query, __ in pairs], flits),
+            flits * 0.693 / window,
         )
         return table
 
@@ -176,10 +298,11 @@ class LatencyModel:
         elapsed = cycle - self._last_cycle
         if elapsed <= 0:
             return
-        decay = 0.5 ** (elapsed / self.config.load_window)
+        decay = 0.5 ** (elapsed / self._window)
         self._mesh_rate *= decay
-        for xy in self._bus_rate:
-            self._bus_rate[xy] *= decay
+        # A comprehension costs a call even over no pillars.
+        if self._bus_rate:
+            self._bus_rate = [rate * decay for rate in self._bus_rate]
         self._last_cycle = cycle
 
     def note_packet(self, src: Coord, dest: Coord, size_flits: int, cycle: float) -> None:
@@ -190,14 +313,14 @@ class LatencyModel:
         """
         if cycle > self._last_cycle:
             self._decay_to(cycle)
-        hops, pillar = self._paths.get((src, dest)) or self.path(src, dest)
+        hops, number = self._paths.get((src, dest)) or self._route(src, dest)
         flit_hops = hops * size_flits
-        window = self.config.load_window
+        window = self._window
         # ln(2) factor makes the half-life equal to the window length.
         self._mesh_rate += flit_hops * 0.693 / window
         self.flit_hops_total += flit_hops
-        if pillar is not None:
-            self._bus_rate[pillar] += size_flits * 0.693 / window
+        if number is not None:
+            self._bus_rate[number] += size_flits * 0.693 / window
             self.bus_flits_total += size_flits
 
     # -- latency ---------------------------------------------------------------
@@ -220,34 +343,31 @@ class LatencyModel:
         """
         if src == dest:
             return 0.0
-        hops, pillar = self._paths.get((src, dest)) or self.path(src, dest)
+        hops, number = self._paths.get((src, dest)) or self._route(src, dest)
         if cycle is not None and cycle > self._last_cycle:
             self._decay_to(cycle)
-        cfg = self.config
-        ceiling = cfg.max_utilization
-        capacity = self._num_nodes * cfg.mesh_capacity_factor
-        rho = self._mesh_rate / capacity if capacity else 0.0
+        (capacity, ceiling, injection, hop_cycles, q_mesh, q_bus,
+         bus_overhead) = self._constants
+        rho = self._mesh_rate / capacity
         if rho > ceiling:
             rho = ceiling
-        per_hop_wait = cfg.q_mesh * rho / (1.0 - rho)
-        latency = cfg.injection_overhead
-        latency += hops * (cfg.hop_cycles + per_hop_wait)
+        latency = injection + hops * (hop_cycles + q_mesh * rho / (1.0 - rho))
         serialization = float(size_flits - 1)
-        if pillar is not None:
-            rho_b = self._bus_rate[pillar]
+        if number is not None:
+            rho_b = self._bus_rate[number]
             if rho_b > ceiling:
                 rho_b = ceiling
-            latency += cfg.bus_overhead
-            latency += cfg.q_bus * rho_b / (1.0 - rho_b)
+            latency += bus_overhead
+            latency += q_bus * rho_b / (1.0 - rho_b)
             serialization = serialization / (1.0 - rho_b)
         latency += serialization
         if record and cycle is not None:
             flit_hops = hops * size_flits
-            window = cfg.load_window
+            window = self._window
             self._mesh_rate += flit_hops * 0.693 / window
             self.flit_hops_total += flit_hops
-            if pillar is not None:
-                self._bus_rate[pillar] += size_flits * 0.693 / window
+            if number is not None:
+                self._bus_rate[number] += size_flits * 0.693 / window
                 self.bus_flits_total += size_flits
         return latency
 
@@ -263,8 +383,8 @@ class LatencyModel:
     ) -> float:
         """The slowest ``out + tag + back`` of a round of tag queries.
 
-        Prices and records each target's query and then its reply, one
-        after another, exactly as :meth:`packet_latency` would; at least
+        Returns exactly what pricing and recording each target's query
+        and then its reply with :meth:`packet_latency` would; at least
         ``tag``, the requester's own tag probe.  A target equal to
         ``src`` costs nothing, and a round with no other target leaves
         the load untouched.
@@ -273,51 +393,53 @@ class LatencyModel:
         if table is None:
             table = self._compile_round(src, targets, flits)
         worst = probe = float(tag)
-        if not table:
+        steps, flit_hops, bus_flits, __, bus_load = table
+        if not steps:
             return worst
         if cycle > self._last_cycle:
             self._decay_to(cycle)
-        cfg = self.config
-        ceiling = cfg.max_utilization
-        capacity = self._num_nodes * cfg.mesh_capacity_factor
-        injection = cfg.injection_overhead
-        hop_cycles = cfg.hop_cycles
-        q_mesh = cfg.q_mesh
-        q_bus = cfg.q_bus
-        bus_overhead = cfg.bus_overhead
+        # Exact only while every weight is >= 0, every packet is at
+        # least one flit and max_utilization < 1, as LatencyModelConfig
+        # and _compile_round enforce: then no load added along the round
+        # lowers a later packet's latency, so a pair that a later pair
+        # dominates cannot set the worst.  Every packet still adds its
+        # load, one add per packet in packet order.
+        (capacity, ceiling, injection, hop_cycles, q_mesh, q_bus,
+         bus_overhead) = self._constants
         serialization = float(flits - 1)
         bus_rate = self._bus_rate
         mesh_rate = self._mesh_rate
-        flit_hops_total = self.flit_hops_total
-        bus_flits_total = self.bus_flits_total
-        for pair in table:
+        for mesh_loads, pillars, pair in steps:
+            for mesh_load in mesh_loads:
+                mesh_rate += mesh_load
+            for number in pillars:
+                bus_rate[number] += bus_load
             # probe + out == out + probe, so the sum rounds as
             # out + tag + back does.
             total = probe
-            for hops, pillar, flit_hops, mesh_load, bus_load in pair:
-                rho = mesh_rate / capacity if capacity else 0.0
+            for hops, number, mesh_load in pair:
+                rho = mesh_rate / capacity
                 if rho > ceiling:
                     rho = ceiling
                 latency = injection + hops * (hop_cycles
                                               + q_mesh * rho / (1.0 - rho))
-                if pillar is None:
+                if number is None:
                     latency += serialization
                 else:
-                    rate = bus_rate[pillar]
+                    rate = bus_rate[number]
                     rho_b = ceiling if rate > ceiling else rate
                     latency += bus_overhead
                     latency += q_bus * rho_b / (1.0 - rho_b)
                     latency += serialization / (1.0 - rho_b)
-                    bus_rate[pillar] = rate + bus_load
-                    bus_flits_total += flits
+                    bus_rate[number] = rate + bus_load
                 mesh_rate += mesh_load
-                flit_hops_total += flit_hops
                 total += latency
             if total > worst:
                 worst = total
         self._mesh_rate = mesh_rate
-        self.flit_hops_total = flit_hops_total
-        self.bus_flits_total = bus_flits_total
+        # Integer-valued floats far below 2**53: summed in any order.
+        self.flit_hops_total += flit_hops
+        self.bus_flits_total += bus_flits
         return worst
 
     def multicast(
@@ -340,20 +462,18 @@ class LatencyModel:
             table = self._compile_round(src, targets, flits)
         if targets and cycle > self._last_cycle:
             self._decay_to(cycle)
-        if table:
-            bus_rate = self._bus_rate
+        mesh_loads, pillars, flit_hops, bus_flits = table.queries
+        if mesh_loads:
             mesh_rate = self._mesh_rate
-            flit_hops_total = self.flit_hops_total
-            bus_flits_total = self.bus_flits_total
-            for (__, pillar, flit_hops, mesh_load, bus_load), __ in table:
+            for mesh_load in mesh_loads:
                 mesh_rate += mesh_load
-                flit_hops_total += flit_hops
-                if pillar is not None:
-                    bus_rate[pillar] += bus_load
-                    bus_flits_total += flits
             self._mesh_rate = mesh_rate
-            self.flit_hops_total = flit_hops_total
-            self.bus_flits_total = bus_flits_total
+            bus_rate = self._bus_rate
+            bus_load = table.bus_load
+            for number in pillars:
+                bus_rate[number] += bus_load
+            self.flit_hops_total += flit_hops
+            self.bus_flits_total += bus_flits
         if answer == src:
             return 0.0
         return self.packet_latency(src, answer, flits, cycle, record=False)

@@ -111,6 +111,8 @@ class TransactionPricer:
         self.cfg = system.config
         self.cpu_positions = system.topology.cpu_positions
         self.clusters = system.topology.clusters
+        # Cluster.center builds a new Coord on every read.
+        self._centers = tuple(cluster.center for cluster in self.clusters)
         self.memory_node = system.memory_node
         self.perfect_search = system.setup.perfect_search
         self._search = system.l2.search
@@ -146,8 +148,8 @@ class TransactionPricer:
         migration = outcome.migration
         if migration is not None:
             source, target = migration
-            src = self.clusters[source].center
-            dst = self.clusters[target].center
+            src = self._centers[source]
+            dst = self._centers[target]
             medium.send(src, dst, cfg.data_flits, cycle, MessageClass.MIGRATION)
             medium.send(dst, src, cfg.data_flits, cycle, MessageClass.MIGRATION)
 

@@ -86,6 +86,14 @@ class SystemConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.tag_latency < 1 or self.bank_latency < 1:
             raise ValueError("array latencies must be positive")
+        if self.memory_latency < 0:
+            raise ValueError(
+                f"memory_latency must be >= 0, got {self.memory_latency!r}"
+            )
+        for name in ("request_flits", "data_flits"):
+            flits = getattr(self, name)
+            if flits < 1:
+                raise ValueError(f"{name} must be >= 1, got {flits!r}")
 
 
 @dataclass(slots=True)

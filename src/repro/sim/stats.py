@@ -54,11 +54,6 @@ class Histogram:
         self.min_value = math.inf
         self.max_value = -math.inf
 
-    def _bucket_index(self, value: float) -> int:
-        # floor, not int(): truncation toward zero would file samples in
-        # (-bucket_width, 0) under bucket 0 instead of the underflow bucket.
-        return math.floor(value / self.bucket_width)
-
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
@@ -67,7 +62,9 @@ class Histogram:
             self.min_value = value
         if value > self.max_value:
             self.max_value = value
-        index = self._bucket_index(value)
+        # floor, not int(): truncation toward zero would file samples in
+        # (-bucket_width, 0) under bucket 0 instead of the underflow bucket.
+        index = math.floor(value / self.bucket_width)
         if index < 0:
             self.underflow += 1
         elif index < len(self.buckets):

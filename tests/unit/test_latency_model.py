@@ -1,12 +1,13 @@
 """Unit tests for the contention-aware analytic latency model."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
-from repro.core.latency_model import LatencyModel
+from repro.core.latency_model import LatencyModel, LatencyModelConfig
 from repro.faults.state import FaultState
 from repro.noc.routing import Coord, best_pillar
 
@@ -47,11 +48,37 @@ def load_state(model):
     """Every value the model's load tracking keeps."""
     return (
         model._mesh_rate,
-        dict(model._bus_rate),
+        list(model._bus_rate),
         model.flit_hops_total,
         model.bus_flits_total,
         model._last_cycle,
     )
+
+
+def bus_rate(model, xy):
+    """The flit rate of the pillar at ``xy``."""
+    return model._bus_rate[model.topology.pillar_xys.index(xy)]
+
+
+def mesh_utilization(model):
+    """The mesh's flit-hop rate over its capacity, unclamped."""
+    width, height = model.topology.config.mesh_dims
+    nodes = width * height * model.topology.config.num_layers
+    return model._mesh_rate / (nodes * model.config.mesh_capacity_factor)
+
+
+def flood(models, src, dest, cycle):
+    """Send 64-flit packets from ``src`` to ``dest`` through every model
+    until the mesh, if the path has hops, and the pillar it crosses, if
+    any, are past ``max_utilization``."""
+    probe = models[0]
+    ceiling = probe.config.max_utilization
+    hops, pillar = probe.path(src, dest)
+    while (hops and mesh_utilization(probe) <= ceiling) or (
+        pillar is not None and bus_rate(probe, pillar) <= ceiling
+    ):
+        for model in models:
+            model.note_packet(src, dest, 64, cycle)
 
 
 class TestPath:
@@ -103,7 +130,7 @@ class TestPathMemo:
         state.fail_pillar(victim)
         # note_packet makes the first lookup after the kill.
         model3d.note_packet(src, dest, 1, 1.0)
-        assert model3d._bus_rate[victim] == 0.0
+        assert bus_rate(model3d, victim) == 0.0
         assert model3d.bus_flits_total == 1
         alive = [xy for xy in pillars if xy != victim]
         assert {pair: model3d.path(*pair) for pair in pairs} == {
@@ -168,14 +195,51 @@ class TestRecordFusion:
         assert load_state(model3d) == before
 
 
-def reference_query_round(model, src, targets, flits, tag, cycle):
-    """The per-packet loop that ``LatencyModel.query_round`` replaced."""
-    worst = float(tag)
+def reference_totals(model, src, targets, flits, tag, cycle):
+    """Each target's ``out + tag + back``, priced one packet at a time."""
+    totals = []
     for target in targets:
         out = model.packet_latency(src, target, flits, cycle)
         back = model.packet_latency(target, src, flits, cycle)
-        worst = max(worst, out + tag + back)
-    return worst
+        totals.append(out + tag + back)
+    return totals
+
+
+def reference_query_round(model, src, targets, flits, tag, cycle):
+    """The per-packet loop that ``LatencyModel.query_round`` replaced."""
+    return max(
+        [float(tag), *reference_totals(model, src, targets, flits, tag, cycle)]
+    )
+
+
+def marked_pairs(table):
+    """The indices of the pairs a round table prices, and its pair count.
+
+    Each step records two loads for every pair before it that it leaves
+    unpriced, then prices one pair.
+    """
+    marked, count = [], 0
+    for mesh_loads, __, __ in table.steps:
+        count += len(mesh_loads) // 2
+        marked.append(count)
+        count += 1
+    return marked, count
+
+
+def check_marks(table, totals, tag):
+    """The table prices the round's last pair, and no pair it leaves
+    unpriced totals more than the worst of the probe and the pairs it
+    prices.  ``totals`` are the reference totals of the round's pairs."""
+    marked, count = marked_pairs(table)
+    assert count == len(totals)
+    if totals:
+        assert marked[-1] == count - 1
+    priced = max([float(tag)] + [totals[i] for i in marked])
+    assert all(
+        total <= priced
+        for i, total in enumerate(totals)
+        if i not in marked
+    )
 
 
 def reference_multicast(model, src, targets, answer, flits, cycle):
@@ -220,18 +284,30 @@ class TestRoundKernels:
             return src, (src,) * rng.randint(1, 2)
         return src, tuple(rng.choice(pool) for __ in range(rng.randint(1, 8)))
 
+    CHIPS = {
+        "2D": ChipConfig(num_layers=1, num_pillars=0),
+        "2L-8p": ChipConfig(),
+        "4L-2p": ChipConfig(num_layers=4, num_pillars=2),
+    }
+
     @pytest.mark.parametrize(
-        "chip",
-        [
-            ChipConfig(num_layers=1, num_pillars=0),
-            ChipConfig(),
-            ChipConfig(num_layers=4, num_pillars=2),
-        ],
-        ids=["2D", "2L-8p", "4L-2p"],
+        "chip,saturate",
+        [(chip, False) for chip in CHIPS.values()]
+        + [(chip, True) for chip in CHIPS.values()],
+        ids=[*CHIPS, *(f"{name}-saturated" for name in CHIPS)],
     )
-    def test_kernels_match_per_packet_loops(self, chip):
+    def test_kernels_match_per_packet_loops(self, chip, saturate):
+        """Saturated, the mesh and one pillar are flooded past
+        ``max_utilization`` before the rounds and every 100 steps, so
+        clamped rates make equal totals common."""
         topology = build_topology(chip)
         kernel, reference = LatencyModel(topology), LatencyModel(topology)
+        width, height = chip.mesh_dims
+        # Corner to corner, across a pillar on a layered chip.
+        flood_path = (
+            Coord(0, 0, 0),
+            Coord(width - 1, height - 1, chip.num_layers - 1),
+        )
         state = FaultState()
         kernel.attach_fault_state(state)
         reference.attach_fault_state(state)
@@ -257,6 +333,9 @@ class TestRoundKernels:
                 state.fail_pillar(victim)
             if victim and step == 2 * steps // 3:
                 state.heal_pillar(victim)
+            if saturate and step % 100 == 0:
+                flood((kernel, reference), *flood_path, cycle)
+                assert load_state(kernel) == load_state(reference)
             # Mostly repeated cycles, some advancing, a few going back.
             cycle += rng.choice((0.0, 0.0, 0.0, 0.5, 3.0, 40.0, -2.0))
             flits = rng.choice((1, 4))
@@ -268,8 +347,14 @@ class TestRoundKernels:
             kinds.add(kind)
             if kind == "round":
                 got = kernel.query_round(src, targets, flits, self.TAG, cycle)
-                want = reference_query_round(
+                totals = reference_totals(
                     reference, src, targets, flits, self.TAG, cycle
+                )
+                want = max([float(self.TAG), *totals])
+                check_marks(
+                    kernel._rounds[src, targets, flits],
+                    [t for target, t in zip(targets, totals) if target != src],
+                    self.TAG,
                 )
             elif kind == "multicast":
                 answer = rng.choice((src, rng.choice(nodes), *targets))
@@ -289,6 +374,59 @@ class TestRoundKernels:
             assert load_state(kernel) == load_state(reference), (step, kind)
         assert kinds == {"round", "multicast", "leg", "send"}
         assert reference.flit_hops_total > 0
+
+    def test_loaded_pillar_outweighs_more_hops_on_an_idle_one(self, model3d):
+        """A later pair with more hops does not dominate an earlier one
+        across another pillar: loaded, that pillar sets the worst."""
+        reference = LatencyModel(model3d.topology)
+        src = Coord(4, 2, 0)
+        loaded, idle = (2, 2), (6, 2)
+        targets = (Coord(2, 2, 1), Coord(7, 2, 1))
+        for target, hops, pillar in zip(targets, (2, 3), (loaded, idle)):
+            assert model3d.path(src, target) == (hops, pillar)
+            assert model3d.path(target, src) == (hops, pillar)
+        flood((model3d, reference), Coord(*loaded, 0), Coord(*loaded, 1), 1.0)
+        assert bus_rate(model3d, idle) == 0.0
+        got = model3d.query_round(src, targets, 1, self.TAG, 1.0)
+        totals = reference_totals(reference, src, targets, 1, self.TAG, 1.0)
+        assert totals[0] > totals[1]
+        assert got == totals[0]
+        assert load_state(model3d) == load_state(reference)
+        assert marked_pairs(model3d._rounds[src, targets, 1]) == ([0, 1], 2)
+
+    def test_equal_hop_pairs_last_price_only_the_last(self, model2d):
+        """A 2D round whose last pairs tie on hops prices only the last
+        pair, lightly loaded and with the mesh clamped, where the tied
+        pairs total exactly the same."""
+        reference = LatencyModel(model2d.topology)
+        src = Coord(8, 8, 0)
+        targets = (
+            Coord(8, 3, 0), Coord(8, 6, 0), Coord(3, 8, 0),
+            Coord(13, 8, 0), Coord(8, 13, 0),
+        )
+        assert [src.manhattan_2d(t) for t in targets] == [5, 2, 5, 5, 5]
+        for cycle in (1.0, 1.0, 30.0):
+            got = model2d.query_round(src, targets, 4, self.TAG, cycle)
+            totals = reference_totals(reference, src, targets, 4, self.TAG, cycle)
+            assert got == max(totals)
+            assert load_state(model2d) == load_state(reference)
+        assert totals[2] < totals[3] < totals[4]
+        flood((model2d, reference), Coord(0, 0, 0), Coord(15, 15, 0), 40.0)
+        got = model2d.query_round(src, targets, 4, self.TAG, 40.0)
+        totals = reference_totals(reference, src, targets, 4, self.TAG, 40.0)
+        assert totals[0] == totals[2] == totals[3] == totals[4] == got
+        assert load_state(model2d) == load_state(reference)
+        assert marked_pairs(model2d._rounds[src, targets, 4]) == ([4], 5)
+
+    def test_empty_packets_are_refused(self, model2d):
+        src, targets = Coord(0, 0, 0), (Coord(3, 4, 0),)
+        for flits in (0, -1):
+            with pytest.raises(ValueError, match="1 flit"):
+                model2d.query_round(src, targets, flits, self.TAG, 1.0)
+            with pytest.raises(ValueError, match="1 flit"):
+                model2d.multicast(src, targets, targets[0], flits, 1.0)
+        assert model2d._rounds == {}
+        assert load_state(model2d) == load_state(LatencyModel(model2d.topology))
 
     def test_every_pillar_dead_raises_and_stores_no_table(self, model3d):
         state = FaultState()
@@ -316,6 +454,39 @@ class TestRoundKernels:
                 src, same, same[1], 4, cycle
             ) == reference_multicast(reference, src, same, same[1], 4, cycle)
             assert load_state(model3d) == load_state(reference)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hop_cycles", -1.0),
+            ("injection_overhead", -1.0),
+            ("bus_overhead", -0.5),
+            ("q_mesh", -5.0),
+            ("q_mesh", float("nan")),
+            ("q_bus", -1.0),
+            ("mesh_capacity_factor", 0.0),
+            ("mesh_capacity_factor", -0.4),
+            ("load_window", 0.0),
+            ("max_utilization", 1.0),
+            ("max_utilization", 1.5),
+            ("max_utilization", -0.1),
+        ],
+    )
+    def test_refuses_values_that_crash_or_price_below_zero(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LatencyModelConfig(**{field: value})
+
+    def test_accepts_the_bounds(self):
+        LatencyModelConfig(
+            hop_cycles=0.0, injection_overhead=0.0, bus_overhead=0.0,
+            q_mesh=0.0, q_bus=0.0, max_utilization=0.0,
+        )
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            LatencyModelConfig().max_utilization = 1.0
 
 
 class TestZeroLoad:
@@ -354,8 +525,7 @@ class TestLoadTracking:
                 model2d.note_packet(src, dest, 4, float(cycle))
         cfg = model2d.config
         ceiling = cfg.max_utilization
-        capacity = model2d._num_nodes * cfg.mesh_capacity_factor
-        assert model2d._mesh_rate / capacity > ceiling
+        assert mesh_utilization(model2d) > ceiling
         # A one-flit packet waits exactly the clamped per-hop delay.
         wait = cfg.q_mesh * ceiling / (1.0 - ceiling)
         hops = src.manhattan_2d(dest)
@@ -370,9 +540,9 @@ class TestLoadTracking:
             model3d.note_packet(
                 Coord(px, py, 0), Coord(px, py, 1), 4, float(cycle)
             )
-        assert model3d._bus_rate[pillar] > 0.5
+        assert bus_rate(model3d, pillar) > 0.5
         other = model3d.topology.pillar_xys[-1]
-        assert model3d._bus_rate[other] == 0.0
+        assert bus_rate(model3d, other) == 0.0
 
     def test_bus_utilization_clamped(self, model3d):
         px, py = pillar = model3d.topology.pillar_xys[0]
@@ -382,7 +552,7 @@ class TestLoadTracking:
                 model3d.note_packet(src, dest, 4, float(cycle))
         cfg = model3d.config
         ceiling = cfg.max_utilization
-        assert model3d._bus_rate[pillar] > ceiling
+        assert bus_rate(model3d, pillar) > ceiling
         # Zero mesh hops and one flit: only the clamped bus wait remains.
         wait = cfg.q_bus * ceiling / (1.0 - ceiling)
         assert model3d.packet_latency(

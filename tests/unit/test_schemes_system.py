@@ -53,6 +53,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(tag_latency=0).validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("request_flits", 0), ("data_flits", 0), ("memory_latency", -300)],
+    )
+    def test_rejects_empty_packets_and_negative_memory(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value}).validate()
+
     def test_default_is_paper(self):
         config = SystemConfig()
         assert config.tag_latency == 4
