@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from repro.codec import Record
 from repro.core.system import RunStats
 from repro.experiments.orchestrator import (
     ResultCache,
@@ -51,20 +52,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     """Typed result of one :func:`run` call."""
 
     spec: SimSpec
     stats: RunStats
     #: True when the result came from the on-disk cache (no simulation).
     cached: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "stats": self.stats.to_dict(),
-            "cached": self.cached,
-        }
 
 
 def run(

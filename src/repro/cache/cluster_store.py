@@ -142,10 +142,16 @@ class ClusterStore:
         )
 
     def free_ways(self, index: int) -> int:
+        """Lines set ``index`` can still take without an eviction.
+
+        Bank faults cap a set at ``effective_ways`` lines, so an empty
+        way beyond that cap is no room at all (:meth:`insert` would
+        evict to fill it).
+        """
         ways = self._sets.get(index)
         if ways is None:
-            return self.ways
-        return ways.count(None)
+            return self.effective_ways
+        return max(0, self.effective_ways - (self.ways - ways.count(None)))
 
     def entries(self) -> Iterator[tuple[int, int, LineEntry]]:
         """All resident lines as (index, way, entry)."""

@@ -12,9 +12,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class LineEntry:
-    """One cache line resident in the L2."""
+    """One cache line resident in the L2.
+
+    Compared by identity: a line is one physical slot's occupant, and
+    value equality would make every ``ways.count(None)`` call the field
+    comparison once per occupied way.
+    """
 
     tag: int
     index: int

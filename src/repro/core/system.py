@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
+from repro.codec import Record
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.noc.routing import Coord
@@ -244,11 +245,6 @@ class NetworkInMemory:
         if not resolved:
             return
         for event in resolved:
-            if event.kind in ("link", "router_port"):
-                raise ValueError(
-                    f"{event.kind} faults require mode='cycle' (the "
-                    f"analytic model carries no per-link state)"
-                )
             if event.onset or event.duration is not None:
                 raise ValueError(
                     "model mode supports only permanent onset-0 faults; "
@@ -473,8 +469,16 @@ class NetworkInMemory:
 
 
 @dataclass
-class RunStats:
-    """Summary of one simulated run (the quantities the figures plot)."""
+class RunStats(Record):
+    """Summary of one simulated run (the quantities the figures plot).
+
+    Serialized by the record codec (:mod:`repro.codec`), every field
+    written.  Floats survive the JSON round trip bit-identically
+    (``json`` emits the shortest repr that parses back to the same
+    double), which is what lets the experiment cache and the parallel
+    orchestrator return results indistinguishable from an in-process
+    run.
+    """
 
     scheme: Scheme
     avg_l2_hit_latency: float
@@ -512,40 +516,3 @@ class RunStats:
     def l2_hit_rate(self) -> float:
         total = self.l2_accesses
         return self.l2_hits / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-safe form; exact inverse of :meth:`from_dict`.
-
-        Floats survive the round trip bit-identically (``json`` emits the
-        shortest repr that parses back to the same double), which is what
-        lets the experiment cache and the parallel orchestrator return
-        results indistinguishable from an in-process run.
-        """
-        return {
-            "scheme": self.scheme.value,
-            "avg_l2_hit_latency": self.avg_l2_hit_latency,
-            "avg_l2_miss_latency": self.avg_l2_miss_latency,
-            "l2_hits": self.l2_hits,
-            "l2_misses": self.l2_misses,
-            "migrations": self.migrations,
-            "ipc": self.ipc,
-            "per_cpu_ipc": list(self.per_cpu_ipc),
-            "l1_miss_rate": self.l1_miss_rate,
-            "flit_hops": self.flit_hops,
-            "bus_flits": self.bus_flits,
-            "invalidations": self.invalidations,
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "packets_lost": self.packets_lost,
-            "faults_injected": self.faults_injected,
-            "delivered_fraction": self.delivered_fraction,
-            "in_flight_packets": self.in_flight_packets,
-            "in_flight_mean_age": self.in_flight_mean_age,
-            "in_flight_max_age": self.in_flight_max_age,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunStats":
-        fields = dict(data)
-        fields["scheme"] = Scheme(fields["scheme"])
-        return cls(**fields)

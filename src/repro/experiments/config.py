@@ -15,17 +15,20 @@ Select with the ``REPRO_SCALE`` environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.codec import REQUIRED, Record
 
 
 @dataclass(frozen=True)
-class ExperimentScale:
+class ExperimentScale(Record):
     """Trace sizing for one experiment run."""
 
     name: str
     refs_per_cpu: int
-    warmup_fraction: float = 0.6   # of total events, across all CPUs
-    seed: int = 2006
+    # Of total events, across all CPUs.
+    warmup_fraction: float = field(default=0.6, metadata=REQUIRED)
+    seed: int = field(default=2006, metadata=REQUIRED)
 
     def __post_init__(self) -> None:
         # Every CPU needs a trace; checked here so that a bad size fails
@@ -50,24 +53,6 @@ class ExperimentScale:
         with the actual CPU count of the simulated system.
         """
         return int(num_cpus * self.refs_per_cpu * self.warmup_fraction)
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (inverse of :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "refs_per_cpu": self.refs_per_cpu,
-            "warmup_fraction": self.warmup_fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentScale":
-        return cls(
-            name=data["name"],
-            refs_per_cpu=data["refs_per_cpu"],
-            warmup_fraction=data["warmup_fraction"],
-            seed=data["seed"],
-        )
 
 
 QUICK = ExperimentScale(name="quick", refs_per_cpu=30_000)

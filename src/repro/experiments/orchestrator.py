@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Mapping, Optional, Sequence
 
+from repro.codec import Record
 from repro.core.system import RunStats
 from repro.experiments.spec import SimSpec, run_spec, simulate
 from repro.sim.trace import write_trace
@@ -132,7 +133,7 @@ class ResultCache:
 
 
 @dataclass(frozen=True)
-class CellFailure:
+class CellFailure(Record):
     """Structured record of one cell that could not produce a result."""
 
     spec: SimSpec
@@ -142,14 +143,6 @@ class CellFailure:
     kind: str
     message: str
     attempts: int
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
 
 
 @dataclass

@@ -29,9 +29,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.codec import (
+    OMIT_DEFAULT, REQUIRED, Record, decode_fields, encode_fields,
+)
 from repro.core.chip import ChipTopology
 from repro.core.placement import build_topology
 from repro.core.schemes import Scheme, make_chip_config
@@ -67,23 +71,30 @@ def _placed_chip(
 
 
 @dataclass(frozen=True)
-class SimSpec:
-    """One immutable simulation cell of an experiment grid."""
+class SimSpec(Record):
+    """One immutable simulation cell of an experiment grid.
+
+    Serialized by the record codec (:mod:`repro.codec`): ``mode``,
+    ``trace`` and ``faults`` are written only away from their defaults,
+    so adding them left every earlier spec hash (and cached artifact)
+    unchanged, while the topology fields are always written and always
+    required.
+    """
 
     scheme: Scheme
     benchmark: str
     scale: ExperimentScale
-    layers: int = 2
-    pillars: int = 8
-    cache_mb: int = 16
-    seed: int = 2006
-    num_cpus: int = 8
+    layers: int = field(default=2, metadata=REQUIRED)
+    pillars: int = field(default=8, metadata=REQUIRED)
+    cache_mb: int = field(default=16, metadata=REQUIRED)
+    seed: int = field(default=2006, metadata=REQUIRED)
+    num_cpus: int = field(default=8, metadata=REQUIRED)
     # Pin CPUs to the 8-pillar reference floorplan while the pillar
     # budget varies (Fig 17 isolates the interconnect effect).
-    fixed_floorplan: bool = False
+    fixed_floorplan: bool = field(default=False, metadata=REQUIRED)
     # Timing fidelity: "model" (analytic latency model) or "cycle"
     # (packets fly through the optimized NoC fabric).
-    mode: str = "model"
+    mode: str = field(default="model", metadata=OMIT_DEFAULT)
     # Per-cell tracing opt-in: a TraceSpec makes simulate() attach a
     # RingTracer to the system, so a single sweep cell can be traced
     # reproducibly.  None (default) keeps the NullTracer.
@@ -119,34 +130,13 @@ class SimSpec:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-safe form; exact inverse of :meth:`from_dict`.
-
-        ``mode`` and ``trace`` are emitted only when they differ from the
-        defaults, so every pre-existing spec hash (and therefore every
-        cached artifact) is unchanged by their introduction.
-        """
-        data = {
-            "version": SPEC_VERSION,
-            "scheme": self.scheme.value,
-            "benchmark": self.benchmark,
-            "scale": self.scale.to_dict(),
-            "layers": self.layers,
-            "pillars": self.pillars,
-            "cache_mb": self.cache_mb,
-            "seed": self.seed,
-            "num_cpus": self.num_cpus,
-            "fixed_floorplan": self.fixed_floorplan,
-        }
-        if self.mode != "model":
-            data["mode"] = self.mode
-        if self.trace is not None:
-            data["trace"] = self.trace.to_dict()
-        if self.faults is not None:
-            data["faults"] = self.faults.to_dict()
-        return data
+        """The record codec's form, stamped with :data:`SPEC_VERSION` first."""
+        return {"version": SPEC_VERSION, **encode_fields(self)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SimSpec":
+    def from_dict(cls, data: Mapping) -> "SimSpec":
+        if not isinstance(data, Mapping):
+            raise TypeError("SimSpec must be an object")
         version = data.get("version", SPEC_VERSION)
         if version != SPEC_VERSION:
             raise ValueError(
@@ -159,28 +149,7 @@ class SimSpec:
             raise ValueError(
                 f"unknown fabric {fabric!r}; cycle mode runs 'optimized' only"
             )
-        return cls(
-            scheme=Scheme(data["scheme"]),
-            benchmark=data["benchmark"],
-            scale=ExperimentScale.from_dict(data["scale"]),
-            layers=data["layers"],
-            pillars=data["pillars"],
-            cache_mb=data["cache_mb"],
-            seed=data["seed"],
-            num_cpus=data["num_cpus"],
-            fixed_floorplan=data["fixed_floorplan"],
-            mode=data.get("mode", "model"),
-            trace=(
-                TraceSpec.from_dict(data["trace"])
-                if data.get("trace") is not None
-                else None
-            ),
-            faults=(
-                FaultSpec.from_dict(data["faults"])
-                if data.get("faults") is not None
-                else None
-            ),
-        )
+        return cls(**decode_fields(cls, data, extra=("version", "fabric")))
 
     # -- identity --------------------------------------------------------------
 

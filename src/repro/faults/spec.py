@@ -36,9 +36,10 @@ Fault taxonomy (``FaultEvent.kind``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.codec import OMIT_DEFAULT, Record
 from repro.sim.rng import make_rng
 from repro.noc.routing import PORT_DELTA
 
@@ -53,12 +54,12 @@ DEFAULT_WATCHDOG_WINDOW = 20_000
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Record):
     """One concrete fault: what breaks, where, when, and for how long."""
 
     kind: str
     target: tuple
-    onset: int = 0
+    onset: int = field(default=0, metadata=OMIT_DEFAULT)
     duration: Optional[int] = None  # None = permanent
 
     def __post_init__(self) -> None:
@@ -92,26 +93,9 @@ class FaultEvent:
             return None
         return self.onset + self.duration
 
-    def to_dict(self) -> dict:
-        data: dict = {"kind": self.kind, "target": list(self.target)}
-        if self.onset:
-            data["onset"] = self.onset
-        if self.duration is not None:
-            data["duration"] = self.duration
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        return cls(
-            kind=data["kind"],
-            target=tuple(data["target"]),
-            onset=data.get("onset", 0),
-            duration=data.get("duration"),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """Declarative fault-injection request, embeddable in a ``SimSpec``.
 
     ``events`` are explicit faults.  ``dead_pillars`` / ``dead_links`` /
@@ -124,22 +108,23 @@ class FaultSpec:
     :class:`~repro.faults.watchdog.DeadlockError` is raised if packets
     are in flight but nothing moves for that many cycles.  ``0``
     disables the watchdog.
+
+    Every field is serialized only away from its default.
     """
 
-    events: tuple[FaultEvent, ...] = ()
-    dead_pillars: int = 0
-    dead_links: int = 0
-    dead_banks: int = 0
-    onset: int = 0
-    watchdog_window: int = DEFAULT_WATCHDOG_WINDOW
+    events: tuple[FaultEvent, ...] = field(
+        default=(), metadata=OMIT_DEFAULT
+    )
+    dead_pillars: int = field(default=0, metadata=OMIT_DEFAULT)
+    dead_links: int = field(default=0, metadata=OMIT_DEFAULT)
+    dead_banks: int = field(default=0, metadata=OMIT_DEFAULT)
+    onset: int = field(default=0, metadata=OMIT_DEFAULT)
+    watchdog_window: int = field(
+        default=DEFAULT_WATCHDOG_WINDOW, metadata=OMIT_DEFAULT
+    )
 
     def __post_init__(self) -> None:
-        events = tuple(
-            event if isinstance(event, FaultEvent)
-            else FaultEvent.from_dict(event)
-            for event in self.events
-        )
-        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "events", tuple(self.events))
         for name in ("dead_pillars", "dead_links", "dead_banks", "onset"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -200,36 +185,6 @@ class FaultSpec:
         draw("bank", self.dead_banks, banks)
         events.sort(key=lambda event: (event.onset, event.kind, event.target))
         return tuple(events)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        data: dict = {}
-        if self.events:
-            data["events"] = [event.to_dict() for event in self.events]
-        for name in ("dead_pillars", "dead_links", "dead_banks", "onset"):
-            value = getattr(self, name)
-            if value:
-                data[name] = value
-        if self.watchdog_window != DEFAULT_WATCHDOG_WINDOW:
-            data["watchdog_window"] = self.watchdog_window
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        return cls(
-            events=tuple(
-                FaultEvent.from_dict(event)
-                for event in data.get("events", ())
-            ),
-            dead_pillars=data.get("dead_pillars", 0),
-            dead_links=data.get("dead_links", 0),
-            dead_banks=data.get("dead_banks", 0),
-            onset=data.get("onset", 0),
-            watchdog_window=data.get(
-                "watchdog_window", DEFAULT_WATCHDOG_WINDOW
-            ),
-        )
 
 
 def mesh_link_targets(

@@ -13,8 +13,9 @@ headers up front and write lines until the job finishes.  One request
 per connection keeps the framing trivial and matches the clients' usage.
 
 **Versioned wire messages.** Every request/response body is a frozen
-:class:`WireMessage` dataclass, and one codec driven by the field
-annotations serves them all.  Top-level messages carry
+:class:`WireMessage` dataclass serialized by the record codec
+(:mod:`repro.codec`), so a key that names no field is refused.
+Top-level messages carry
 ``protocol_version`` (:data:`PROTOCOL_VERSION`) and ``from_dict`` calls
 :func:`check_version` first, so a head and a worker (or a client) built
 from different protocol revisions fail loudly with a structured
@@ -28,12 +29,11 @@ reached through a versioned snapshot, not a negotiated surface.
 from __future__ import annotations
 
 import asyncio
-import functools
-import typing
-from dataclasses import MISSING, dataclass, field, fields
-from typing import ClassVar, Mapping, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Mapping, Optional
 from urllib.parse import parse_qs, unquote
 
+from repro.codec import Record, checked, decode_fields, encode_fields
 from repro.core.system import RunStats
 from repro.experiments.spec import SimSpec
 
@@ -193,126 +193,29 @@ def _versioned(payload: dict) -> dict:
     return payload
 
 
-#: What each annotation demands, for type-error messages.
-_WANTS = {
-    str: "a string",
-    int: "an integer",
-    float: "a number",
-    bool: "a boolean",
-    dict: "an object",
-}
+_NON_EMPTY = checked(bool, "a non-empty string")
 
 
-def _checked(check, want: str) -> dict:
-    """Field metadata: a value predicate applied when decoding."""
-    return {"check": check, "want": want}
+class WireMessage(Record):
+    """Base of every wire message: the record codec, versioned.
 
-
-_NON_EMPTY = _checked(bool, "a non-empty string")
-
-
-def _encode(value):
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    if isinstance(value, dict):
-        return dict(value)
-    return value.to_dict()  # SimSpec, RunStats, nested messages
-
-
-@functools.cache
-def _decoder(kind, name: str):
-    """Compile the parser for one field annotation ``kind``."""
-    if typing.get_origin(kind) is Union:  # Optional[X]
-        (inner,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-        parse = _decoder(inner, name)
-        return lambda value: None if value is None else parse(value)
-    if typing.get_origin(kind) is tuple:
-        parse_item = _decoder(typing.get_args(kind)[0], name)
-
-        def parse_list(value):
-            if not isinstance(value, list):
-                raise TypeError(f"'{name}' must be a list")
-            return tuple(parse_item(item) for item in value)
-
-        return parse_list
-    if hasattr(kind, "from_dict"):  # SimSpec, RunStats, nested messages
-        return kind.from_dict
-    accept = (int, float) if kind is float else kind
-
-    def parse_primitive(value):
-        # A bool is an int to Python, never to the wire.
-        if not isinstance(value, accept) or (
-            isinstance(value, bool) and kind is not bool
-        ):
-            raise TypeError(
-                f"'{name}' must be {_WANTS[kind]}, "
-                f"got {type(value).__name__}"
-            )
-        return dict(value) if kind is dict else value
-
-    return parse_primitive
-
-
-@functools.cache
-def _plan(cls) -> tuple:
-    """Per field of ``cls``: (name, default, parser, required, rule)."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            spec.name,
-            spec.default,
-            _decoder(hints[spec.name], spec.name),
-            spec.default is MISSING and spec.default_factory is MISSING,
-            spec.metadata if "check" in spec.metadata else None,
-        )
-        for spec in fields(cls)
-    )
-
-
-class WireMessage:
-    """Base of every wire message: the one annotation-driven codec.
-
-    Fields map to JSON by annotation (``SimSpec``/``RunStats``/nested
-    messages via their own ``to_dict``, tuples as lists, ``Optional``,
-    primitives — a bool is never an int).  A field defaulting to
-    ``None`` stays off the wire while unset; a missing field takes its
-    default or is a ``KeyError``; field metadata may add a value check.
+    Fields map to JSON through :mod:`repro.codec`.  Top-level messages
+    also carry ``protocol_version``, written last and checked first.
     """
 
     #: False for messages that only travel nested inside another.
     versioned: ClassVar[bool] = True
 
-    def _fields(self) -> dict:
-        payload = {}
-        for name, default, *__ in _plan(type(self)):
-            value = getattr(self, name)
-            if value is None and default is None:
-                continue  # unset optional: off the wire
-            payload[name] = _encode(value)
-        return payload
-
     def to_dict(self) -> dict:
-        payload = self._fields()
+        payload = encode_fields(self)
         return _versioned(payload) if self.versioned else payload
 
     @classmethod
     def from_dict(cls, data: Mapping):
-        if cls.versioned:
-            check_version(data)
-        elif not isinstance(data, Mapping):
-            raise TypeError(f"{cls.__name__} must be an object")
-        kwargs = {}
-        for name, __, parse, required, rule in _plan(cls):
-            if name not in data:
-                if required:
-                    raise KeyError(name)
-                continue
-            value = kwargs[name] = parse(data[name])
-            if rule is not None and not rule["check"](value):
-                raise TypeError(f"'{name}' must be {rule['want']}")
-        return cls(**kwargs)
+        if not cls.versioned:
+            return super().from_dict(data)
+        check_version(data)
+        return cls(**decode_fields(cls, data, extra=("protocol_version",)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -335,7 +238,7 @@ class ErrorBody(WireMessage):
     got_version: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return _versioned({"error": self._fields()})
+        return _versioned({"error": encode_fields(self)})
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ErrorBody":
@@ -438,13 +341,19 @@ class JobResults(WireMessage):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "JobResults":
+        check_version(data)
+        lists = ("results", "failures")
         return cls(
-            snapshot=JobSnapshot.from_dict(data),
-            results=_decoder(tuple[CellResultWire, ...], "results")(
-                data.get("results", [])
+            snapshot=JobSnapshot.from_dict(
+                {key: value for key, value in data.items() if key not in lists}
             ),
-            failures=_decoder(tuple[CellFailureWire, ...], "failures")(
-                data.get("failures", [])
+            results=tuple(
+                CellResultWire.from_dict(item)
+                for item in data.get("results", ())
+            ),
+            failures=tuple(
+                CellFailureWire.from_dict(item)
+                for item in data.get("failures", ())
             ),
         )
 
@@ -455,7 +364,7 @@ class LeaseRequest(WireMessage):
 
     worker_id: str = field(metadata=_NON_EMPTY)
     max_cells: int = field(
-        default=4, metadata=_checked(lambda n: n >= 1, "a positive integer")
+        default=4, metadata=checked(lambda n: n >= 1, "a positive integer")
     )
 
 

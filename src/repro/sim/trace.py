@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Union
 
+from repro.codec import Record
+
 
 class EventKind(NamedTuple):
     """One row of the event schema, read by both exporters."""
@@ -367,7 +369,7 @@ def write_trace(
 
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Record):
     """Declarative tracing request, embeddable in a frozen ``SimSpec``.
 
     ``format`` is ``"chrome"`` or ``"jsonl"``; ``limit`` bounds the event
@@ -391,20 +393,6 @@ class TraceSpec:
 
     def filename_suffix(self) -> str:
         return _FORMATS[self.format][1]
-
-    def to_dict(self) -> dict:
-        data: dict = {"format": self.format, "limit": self.limit}
-        if self.component_filter is not None:
-            data["component_filter"] = self.component_filter
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        return cls(
-            format=data.get("format", "chrome"),
-            limit=data.get("limit", 1_000_000),
-            component_filter=data.get("component_filter"),
-        )
 
 
 # ---------------------------------------------------------------------------

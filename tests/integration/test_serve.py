@@ -146,6 +146,15 @@ class TestSurface:
             assert status == 400
             assert body["error"]["kind"] == "bad_request"
             assert f"got {refs}" in body["error"]["message"]
+        # A misspelled key must not decode to a different cell (here a
+        # zero-fault one) than the submission names.
+        typo = {**make_spec().to_dict(), "faults": {"dead_pilars": 2}}
+        status, _, body = client._request("POST", "/jobs", {
+            "protocol_version": PROTOCOL_VERSION, "specs": [typo],
+        })
+        assert status == 400
+        assert body["error"]["kind"] == "bad_request"
+        assert "dead_pilars" in body["error"]["message"]
 
     def test_protocol_skew_is_structured_400(self, live_server):
         """A peer from another protocol revision fails loudly, not quietly."""

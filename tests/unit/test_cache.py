@@ -128,6 +128,19 @@ class TestClusterStore:
         victim = store.insert(0, LineEntry(tag=3, index=0))
         assert victim.tag == 2
 
+    def test_free_ways_respect_degraded_capacity(self):
+        store = self._store(ways=4)
+        store.effective_ways = 2
+        assert store.free_ways(0) == 2
+        for tag in (1, 2):
+            entry = LineEntry(tag=tag, index=0)
+            entry.begin_migration(5, 100.0)
+            assert store.insert(0, entry) is None
+        # Two ways stand empty, but the set is at its degraded cap: the
+        # next insert evicts (here a line still in transit), so no room.
+        assert store.free_ways(0) == 0
+        assert store.insert(0, LineEntry(tag=3, index=0)).in_transit
+
     def test_remove(self):
         store = self._store()
         store.insert(1, LineEntry(tag=9, index=1))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
+from repro.cache.line import LineEntry
 from repro.cache.nuca import NucaL2
 from repro.dtdma.arbiter import DynamicTDMAArbiter
 from repro.faults.spec import (
@@ -472,6 +473,22 @@ class TestBankFaults:
             1 for entry in store._sets[0] if entry is not None
         )
         assert occupied == store.effective_ways
+
+    def test_full_degraded_set_refuses_migrations(self, nuca):
+        # A set at its degraded cap whose lines are all migrating has no
+        # room: accepting a migration there would evict a line in transit.
+        state = _attach(nuca)
+        banks = len(nuca.topology.clusters[0].bank_nodes)
+        for bank in range(banks // 2):
+            state.fail_bank((0, bank))
+        nuca.apply_bank_faults()
+        store = nuca.clusters[0]
+        decoded = nuca.addr_map.decode(0)
+        for tag in range(store.effective_ways):
+            entry = LineEntry(tag=tag, index=decoded.index)
+            entry.begin_migration(1, 100.0)
+            store.insert(decoded.index, entry)
+        assert not nuca._can_accept(0, decoded)
 
     def test_heal_restores_capacity(self, nuca):
         state = _attach(nuca)

@@ -1,5 +1,7 @@
 """RunStats derived-metric tests."""
 
+import pytest
+
 from repro.core.schemes import Scheme
 from repro.core.system import RunStats
 
@@ -47,3 +49,18 @@ def test_to_dict_is_json_safe():
 
     encoded = json.dumps(make_stats().to_dict())
     assert RunStats.from_dict(json.loads(encoded)) == make_stats()
+
+
+def test_unknown_key_refused():
+    data = {**make_stats().to_dict(), "ipcc": 1.0}
+    with pytest.raises(TypeError, match="ipcc"):
+        RunStats.from_dict(data)
+
+
+def test_fields_added_with_defaults_may_be_absent():
+    # Artifacts written before the survivorship fields still load.
+    data = make_stats().to_dict()
+    for name in ("delivered_fraction", "in_flight_packets",
+                 "in_flight_mean_age", "in_flight_max_age"):
+        del data[name]
+    assert RunStats.from_dict(data) == make_stats()

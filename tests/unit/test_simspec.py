@@ -7,6 +7,8 @@ from repro.core.schemes import Scheme
 from repro.core.system import RunStats
 from repro.experiments.config import QUICK, ExperimentScale
 from repro.experiments.spec import SPEC_VERSION, SimSpec
+from repro.faults.spec import FaultEvent, FaultSpec
+from repro.sim.trace import TraceSpec
 
 
 def make_spec(**overrides) -> SimSpec:
@@ -56,6 +58,50 @@ class TestRoundTrip:
         spec = SimSpec.make(Scheme.CMP_DNUCA_2D, "swim")
         assert spec.scale == QUICK
         assert spec.seed == QUICK.seed
+
+
+class TestUnknownKeys:
+    """A misspelled key is refused, never read as the field's default."""
+
+    SPEC = make_spec(
+        mode="cycle",
+        trace=TraceSpec(format="jsonl", limit=100),
+        faults=FaultSpec(
+            events=(FaultEvent("pillar", (3, 3), onset=5, duration=10),),
+            dead_banks=1,
+        ),
+    )
+
+    @pytest.mark.parametrize("path, typo", [
+        ((), "mdoe"),
+        (("scale",), "warmup_fracton"),
+        (("trace",), "limt"),
+        (("faults",), "dead_pilars"),
+        (("faults", "events", 0), "durration"),
+    ])
+    def test_misspelled_key_raises(self, path, typo):
+        data = self.SPEC.to_dict()
+        assert SimSpec.from_dict(data) == self.SPEC
+        record = data
+        for step in path:
+            record = record[step]
+        record[typo] = 1
+        with pytest.raises(TypeError, match=typo):
+            SimSpec.from_dict(data)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "layers"), ((), "pillars"), ((), "cache_mb"), ((), "seed"),
+        ((), "num_cpus"), ((), "fixed_floorplan"),
+        (("scale",), "warmup_fraction"), (("scale",), "seed"),
+    ])
+    def test_topology_and_scale_keys_stay_required(self, path, key):
+        data = self.SPEC.to_dict()
+        record = data
+        for step in path:
+            record = record[step]
+        del record[key]
+        with pytest.raises(KeyError, match=key):
+            SimSpec.from_dict(data)
 
 
 class TestHashing:
