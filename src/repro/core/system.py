@@ -175,7 +175,18 @@ class NetworkInMemory:
 
         self.fault_harness: Optional["FaultHarness"] = None
         if self.config.faults is not None:
-            self._install_faults()
+            from repro.faults.injector import install_faults
+
+            # Faults land on whatever prices packets: the fabric in cycle
+            # mode, the analytic model otherwise.
+            self.fault_harness = install_faults(
+                getattr(medium, "network", self.model),
+                self.config.faults,
+                self.config.fault_seed,
+                l2=self.l2,
+                stats=self.stats,
+                tracer=self.tracer,
+            )
 
         l2_scope = self.stats.scope("l2")
         self.hit_latency = l2_scope.histogram("hit_latency", 1.0, 512)
@@ -185,83 +196,6 @@ class NetworkInMemory:
         self._l2_ifetches = l2_scope.counter("ifetch_transactions")
         self._invalidations = self.stats.scope("coherence").counter(
             "invalidations"
-        )
-
-    # -- fault injection -----------------------------------------------------
-
-    def _bank_targets(self) -> tuple[tuple[int, int], ...]:
-        """Random-draw candidate pool for bank faults: every (cluster, bank)."""
-        return tuple(
-            (cluster.index, bank)
-            for cluster in self.topology.clusters
-            for bank in range(len(cluster.bank_nodes))
-        )
-
-    def _install_faults(self) -> None:
-        """Apply ``config.faults`` to whichever timing backend is live.
-
-        Cycle mode installs the full machinery (injector events on the
-        fabric engine, liveness watchdog, fault-aware routing) on the
-        cycle medium's network; bank faults additionally reach the NUCA cache.
-        Model mode has no per-link state, so it supports only permanent
-        onset-0 pillar and bank faults: the latency model drops dead
-        pillars from its route pool and the cache degrades immediately.
-        """
-        spec = self.config.faults
-        seed = self.config.fault_seed
-        banks = self._bank_targets()
-        if self.config.mode == "cycle":
-            from repro.faults.injector import install_network_faults
-
-            self.fault_harness = install_network_faults(
-                self.pricer.medium.network,
-                spec,
-                seed,
-                banks=banks,
-                on_bank_change=self.l2.apply_bank_faults,
-                stats=self.stats,
-                tracer=self.tracer,
-            )
-            if self.fault_harness.state is not None:
-                self.l2.attach_fault_state(self.fault_harness.state)
-            return
-
-        from repro.faults.injector import FaultHarness
-        from repro.faults.state import FaultState
-
-        # Reject mesh-fault requests before resolution: the random-draw
-        # pools for links don't even exist here, and "cannot draw from 0
-        # candidates" is a worse diagnostic than naming the mode.
-        if spec.dead_links or any(
-            event.kind in ("link", "router_port") for event in spec.events
-        ):
-            raise ValueError(
-                "link/router_port faults require mode='cycle' (the "
-                "analytic model carries no per-link state)"
-            )
-        resolved = spec.resolve(
-            seed, pillars=tuple(self.topology.pillar_xys), banks=banks
-        )
-        if not resolved:
-            return
-        for event in resolved:
-            if event.onset or event.duration is not None:
-                raise ValueError(
-                    "model mode supports only permanent onset-0 faults; "
-                    "use mode='cycle' for timed fault schedules"
-                )
-        state = FaultState(stats=self.stats, tracer=self.tracer)
-        self.model.attach_fault_state(state)
-        self.l2.attach_fault_state(state)
-        for event in resolved:
-            target = (event.target[0], event.target[1])
-            if event.kind == "pillar":
-                state.fail_pillar(target)
-            else:
-                state.fail_bank(target)
-        self.l2.apply_bank_faults()
-        self.fault_harness = FaultHarness(
-            state=state, injector=None, watchdog=None
         )
 
     # -- one L2 transaction ---------------------------------------------------
@@ -430,11 +364,7 @@ class NetworkInMemory:
         # not the (warmup-reset) counters: injection is configuration.
         faults_active = 0
         if self.fault_harness is not None and self.fault_harness.state:
-            state = self.fault_harness.state
-            faults_active = (
-                len(state.dead_pillars) + len(state.dead_links)
-                + len(state.jammed_ports) + len(state.dead_banks)
-            )
+            faults_active = self.fault_harness.state.active
         # Survivorship context for the latency means: in cycle mode ask
         # the live fabric what never arrived; the analytic model delivers
         # everything by construction.

@@ -1,15 +1,20 @@
-"""Fault injection: apply a resolved fault schedule to a live fabric.
+"""Fault injection: install a fault spec on either timing back end.
 
-The :class:`FaultInjector` turns the fully explicit schedule produced by
-:meth:`FaultSpec.resolve` into engine events: each fault's onset (and,
-for transients, its heal) fires at an exact engine cycle, before any
-component evaluates that cycle — identical timing in the activity-tracked
-and naive kernels.
+:func:`install_faults` is the one entry point for both timing modes.  It
+resolves a :class:`FaultSpec` against the back end's candidate pools,
+builds the live :class:`FaultState`, attaches it to the back end (and to
+the NUCA cache when one is given), and hands the schedule to a
+:class:`FaultInjector`:
 
-:func:`install_network_faults` is the one-call wiring helper for a bare
-:class:`~repro.noc.network.Network` (the cycle-accurate path); the
-system layer composes the same pieces itself so bank faults can reach
-the NUCA cache.
+* on the cycle-accurate :class:`~repro.noc.network.Network` each fault's
+  onset (and, for transients, its heal) becomes an engine event firing
+  before any component evaluates that cycle — identical timing in the
+  activity-tracked and naive kernels — and a liveness watchdog guards
+  the run;
+* the analytic :class:`~repro.core.latency_model.LatencyModel` has no
+  clock and no per-link state, so it takes only permanent onset-0
+  faults of the kinds whose :class:`~repro.faults.spec.FaultKind` is not
+  ``mesh``, applied at install.
 """
 
 from __future__ import annotations
@@ -17,19 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.noc.routing import Coord, Port
-from repro.faults.spec import FaultEvent, FaultSpec, mesh_link_targets
+from repro.faults.spec import FAULTS, FaultEvent, FaultSpec, mesh_link_targets
 from repro.faults.state import FaultState
 from repro.faults.watchdog import LivenessWatchdog
 
 
 class FaultInjector:
-    """Schedules and applies the faults of one resolved schedule.
+    """Applies the faults of one resolved schedule.
 
     Parameters
     ----------
     engine:
-        The simulation engine; onsets/heals become its events.
+        The simulation engine; onsets/heals become its events.  ``None``
+        (a back end without a clock) applies every fault at once.
     state:
         The live :class:`FaultState` the tolerance mechanisms consult.
     events:
@@ -38,8 +43,8 @@ class FaultInjector:
         ``(x, y) -> PillarBus`` map for pillar faults (drain-then-die is
         bus-level mechanics, not just a set update).
     on_bank_change:
-        Optional callback invoked after a bank fault injects or heals,
-        so the cache layer can re-derive capacity.
+        Called after a bank fault injects or heals, so the cache layer
+        can re-derive capacity.
     """
 
     def __init__(
@@ -57,77 +62,37 @@ class FaultInjector:
         self._pillars = pillars if pillars is not None else {}
         self._on_bank_change = on_bank_change
         for event in self.events:
-            self._validate(event)
-        for event in self.events:
+            if engine is None:
+                self._fire(event, "inject")
+                continue
             engine.schedule(
                 max(0, event.onset - engine.cycle),
-                lambda e=event: self._apply(e),
+                lambda e=event: self._fire(e, "inject"),
             )
             heal = event.heal_cycle
             if heal is not None:
                 engine.schedule(
                     max(0, heal - engine.cycle),
-                    lambda e=event: self._heal(e),
+                    lambda e=event: self._fire(e, "heal"),
                 )
 
-    def _validate(self, event: FaultEvent) -> None:
-        if event.kind == "pillar":
-            if self._pillars and tuple(event.target) not in self._pillars:
-                raise ValueError(
-                    f"pillar fault targets unknown pillar {event.target}; "
-                    f"pillars are at {sorted(self._pillars)}"
-                )
-        elif event.kind == "bank" and self._on_bank_change is None:
-            raise ValueError(
-                "bank faults need a cache layer (network-only install "
-                f"cannot apply {event.target})"
-            )
-
-    # -- application ------------------------------------------------------
-
-    def _apply(self, event: FaultEvent) -> None:
-        cycle = self.engine.cycle
+    def _fire(self, event: FaultEvent, phase: str) -> None:
+        """Inject or heal ``event`` now, plus its kind's side effect."""
+        cycle = 0 if self.engine is None else self.engine.cycle
         kind, target = event.kind, event.target
+        if phase == "inject":
+            self.state.inject(kind, target, cycle)
+        else:
+            self.state.heal(kind, target, cycle)
         if kind == "pillar":
-            xy = (target[0], target[1])
-            self.state.fail_pillar(xy, cycle)
-            bus = self._pillars.get(xy)
+            bus = self._pillars.get(target)
             if bus is not None:
-                bus.fail(cycle, self.state)
-        elif kind == "link":
-            self.state.fail_link(
-                Coord(target[0], target[1], target[2]), Port(target[3]), cycle
-            )
-        elif kind == "router_port":
-            self.state.jam_port(
-                Coord(target[0], target[1], target[2]), Port(target[3]), cycle
-            )
+                if phase == "inject":
+                    bus.fail(cycle, self.state)
+                else:
+                    bus.heal(cycle)
         elif kind == "bank":
-            self.state.fail_bank((target[0], target[1]), cycle)
-            if self._on_bank_change is not None:
-                self._on_bank_change()
-
-    def _heal(self, event: FaultEvent) -> None:
-        cycle = self.engine.cycle
-        kind, target = event.kind, event.target
-        if kind == "pillar":
-            xy = (target[0], target[1])
-            self.state.heal_pillar(xy, cycle)
-            bus = self._pillars.get(xy)
-            if bus is not None:
-                bus.heal(cycle)
-        elif kind == "link":
-            self.state.heal_link(
-                Coord(target[0], target[1], target[2]), Port(target[3]), cycle
-            )
-        elif kind == "router_port":
-            self.state.heal_port(
-                Coord(target[0], target[1], target[2]), Port(target[3]), cycle
-            )
-        elif kind == "bank":
-            self.state.heal_bank((target[0], target[1]), cycle)
-            if self._on_bank_change is not None:
-                self._on_bank_change()
+            self._on_bank_change()
 
 
 @dataclass
@@ -139,51 +104,86 @@ class FaultHarness:
     watchdog: Optional[LivenessWatchdog]
 
 
-def install_network_faults(
-    network,
+def install_faults(
+    backend,
     spec: FaultSpec,
     seed: int,
     *,
-    banks: tuple = (),
-    on_bank_change: Optional[Callable[[], None]] = None,
+    l2=None,
     stats=None,
     tracer=None,
 ) -> FaultHarness:
-    """Resolve ``spec`` against ``network`` and install the machinery.
+    """Resolve ``spec`` against ``backend`` and install the machinery.
+
+    ``backend`` is what prices packets: a :class:`~repro.noc.network.
+    Network` (it has an ``engine``) or a :class:`~repro.core.latency_model.
+    LatencyModel`.  ``l2`` extends the install to the NUCA cache: its
+    banks become the bank-fault pool and its capacity hook runs on every
+    bank fault.  ``stats``/``tracer`` say where the fault counters and
+    events land (default: the network's own registries).
 
     Zero-fault specs install nothing but the watchdog: no
     :class:`FaultState` is created, so the run — statistics snapshot
     included — is bit-identical to a fault-unaware one (the differential
     tests assert this).
-
-    ``banks``/``on_bank_change`` extend the install to the cache layer
-    (the system simulator passes its bank pool and the NUCA capacity
-    hook); ``stats``/``tracer`` override where the fault counters and
-    events land (default: the network's own registries).
     """
-    cfg = network.config
-    resolved = spec.resolve(
-        seed,
-        pillars=tuple(cfg.pillar_locations),
-        links=mesh_link_targets(cfg.width, cfg.height, cfg.layers),
-        banks=tuple(banks),
+    engine = getattr(backend, "engine", None)
+    if engine is None:
+        # Refuse mesh faults before resolution: the analytic model has no
+        # link pool, and "cannot draw from 0 candidates" is a worse
+        # diagnostic than naming the mode.
+        if spec.dead_links or any(
+            FAULTS[event.kind].mesh for event in spec.events
+        ):
+            mesh = "/".join(name for name, kind in FAULTS.items() if kind.mesh)
+            raise ValueError(
+                f"{mesh} faults require mode='cycle' (the analytic model "
+                "carries no per-link state)"
+            )
+        pillars, links, buses = tuple(backend.topology.pillar_xys), (), None
+    else:
+        cfg = backend.config
+        pillars = tuple(cfg.pillar_locations)
+        links = mesh_link_targets(cfg.width, cfg.height, cfg.layers)
+        buses = backend.pillars
+        stats = backend.stats if stats is None else stats
+        tracer = backend.tracer if tracer is None else tracer
+    banks = () if l2 is None else tuple(
+        (cluster.index, bank)
+        for cluster in l2.topology.clusters
+        for bank in range(len(cluster.bank_nodes))
     )
-    state = None
-    injector = None
+    resolved = spec.resolve(seed, pillars=pillars, links=links, banks=banks)
+    for event in resolved:
+        if engine is None and (event.onset or event.duration is not None):
+            raise ValueError(
+                "model mode supports only permanent onset-0 faults; "
+                "use mode='cycle' for timed fault schedules"
+            )
+        if event.kind == "pillar" and pillars and event.target not in pillars:
+            raise ValueError(
+                f"pillar fault targets unknown pillar {event.target}; "
+                f"pillars are at {sorted(pillars)}"
+            )
+        if event.kind == "bank" and l2 is None:
+            raise ValueError(
+                "bank faults need a cache layer (network-only install "
+                f"cannot apply {event.target})"
+            )
+    state = injector = None
     if resolved:
-        state = FaultState(
-            stats=stats if stats is not None else network.stats,
-            tracer=tracer if tracer is not None else network.tracer,
-        )
-        network.attach_fault_state(state)
+        state = FaultState(stats=stats, tracer=tracer)
+        backend.attach_fault_state(state)
+        if l2 is not None:
+            l2.attach_fault_state(state)
         injector = FaultInjector(
-            network.engine,
+            engine,
             state,
             resolved,
-            pillars=network.pillars,
-            on_bank_change=on_bank_change,
+            pillars=buses,
+            on_bank_change=None if l2 is None else l2.apply_bank_faults,
         )
     watchdog = None
-    if spec.watchdog_window:
-        watchdog = LivenessWatchdog(network, window=spec.watchdog_window)
+    if engine is not None and spec.watchdog_window:
+        watchdog = LivenessWatchdog(backend, window=spec.watchdog_window)
     return FaultHarness(state=state, injector=injector, watchdog=watchdog)

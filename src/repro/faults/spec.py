@@ -6,7 +6,7 @@ omitted so spec hashes stay stable, and derives every random choice from
 the spec seed via :func:`repro.sim.rng.derive_seed` — the same spec
 always injects the same faults, in serial or parallel sweeps alike.
 
-Fault taxonomy (``FaultEvent.kind``):
+Fault taxonomy (``FaultEvent.kind``), one :data:`FAULTS` row per kind:
 
 ``"pillar"``
     A dTDMA pillar/TSV failure at ``target=(x, y)``.  The bus finishes
@@ -41,14 +41,53 @@ from typing import Optional
 
 from repro.codec import OMIT_DEFAULT, Record
 from repro.sim.rng import make_rng
-from repro.noc.routing import PORT_DELTA
+from repro.noc.routing import PORT_DELTA, Coord, Port
 
-FAULT_KINDS = ("pillar", "link", "router_port", "bank")
 
-# Target tuple arity per fault kind (see the module docstring).
-_TARGET_LENGTHS = {"pillar": 2, "link": 4, "router_port": 4, "bank": 2}
+@dataclass(frozen=True)
+class FaultKind:
+    """What one fault kind is, for every layer that handles faults.
 
-_PORT_NAMES = ("north", "south", "east", "west", "vertical")
+    ``arity`` is the target tuple's length.  ``port`` marks a target
+    ``(x, y, z, port)`` naming a router output port; its live-set key is
+    ``(Coord, Port)``, else the target itself.  ``mesh`` marks a kind
+    that needs the per-link state only the cycle-accurate fabric has.
+    ``live`` names the :class:`~repro.faults.state.FaultState` set that
+    holds the kind's live targets.
+    """
+
+    name: str
+    arity: int
+    port: bool
+    mesh: bool
+    live: str
+
+    def key(self, target: tuple) -> tuple:
+        """``target`` as a member of the kind's live set."""
+        if self.port:
+            return (Coord(*target[:3]), Port(target[3]))
+        return tuple(target)
+
+    def target(self, key: tuple) -> tuple:
+        """The event target a live-set member stands for."""
+        if self.port:
+            coord, port = key
+            return (*coord, port.value)
+        return key
+
+
+FAULTS = {
+    kind.name: kind
+    for kind in (
+        FaultKind("pillar", 2, port=False, mesh=False, live="dead_pillars"),
+        FaultKind("link", 4, port=True, mesh=True, live="dead_links"),
+        FaultKind("router_port", 4, port=True, mesh=True,
+                  live="jammed_ports"),
+        FaultKind("bank", 2, port=False, mesh=False, live="dead_banks"),
+    )
+}
+
+_PORT_NAMES = tuple(port.value for port in Port if port is not Port.LOCAL)
 
 DEFAULT_WATCHDOG_WINDOW = 20_000
 
@@ -63,19 +102,19 @@ class FaultEvent(Record):
     duration: Optional[int] = None  # None = permanent
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in FAULTS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; "
-                f"choose from {list(FAULT_KINDS)}"
+                f"choose from {list(FAULTS)}"
             )
         object.__setattr__(self, "target", tuple(self.target))
-        expected = _TARGET_LENGTHS[self.kind]
-        if len(self.target) != expected:
+        kind = FAULTS[self.kind]
+        if len(self.target) != kind.arity:
             raise ValueError(
-                f"{self.kind} fault target must have {expected} elements, "
+                f"{self.kind} fault target must have {kind.arity} elements, "
                 f"got {self.target!r}"
             )
-        if self.kind in ("link", "router_port"):
+        if kind.port:
             port = self.target[3]
             if port not in _PORT_NAMES:
                 raise ValueError(

@@ -5,8 +5,8 @@ mechanisms consult on their hot paths (dead pillars for injection-time
 pillar selection, dead links and jammed ports for fault-aware routing,
 dead banks for NUCA remapping), owns the ``faults.*`` scoped counters,
 and fans change notifications out to listeners (the network clears
-router evaluate caches and wakes them; the cache layer re-derives
-capacity).
+router evaluate caches and wakes them; the latency model re-derives its
+alive pillars).
 
 A ``FaultState`` is only created when a non-empty fault schedule is
 installed — zero-fault runs carry no state object at all, so their
@@ -21,13 +21,25 @@ from typing import Callable, Optional
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import FAULT, NULL_TRACER, Tracer
 from repro.noc.routing import Coord, Port
+from repro.faults.spec import FAULTS
 
 # Listener signature: (kind, target, phase) with phase "inject" | "heal".
 FaultListener = Callable[[str, tuple, str], None]
 
 
 class FaultState:
-    """Mutable fault sets + degradation counters for one simulation."""
+    """Mutable fault sets + degradation counters for one simulation.
+
+    ``live`` maps each fault kind to the set of its live targets, keyed
+    as :meth:`FaultKind.key` says.  The same sets are also attributes
+    named by the kind's ``live`` column, which is how the hot paths
+    read them.
+    """
+
+    dead_pillars: set[tuple[int, int]]
+    dead_links: set[tuple[Coord, Port]]
+    jammed_ports: set[tuple[Coord, Port]]
+    dead_banks: set[tuple[int, int]]
 
     def __init__(
         self,
@@ -37,13 +49,12 @@ class FaultState:
         self.stats = stats or StatsRegistry("faults")
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._track = self._tracer.track("faults")
-        self.dead_pillars: set[tuple[int, int]] = set()
-        self.dead_links: set[tuple[Coord, Port]] = set()
-        self.jammed_ports: set[tuple[Coord, Port]] = set()
-        self.dead_banks: set[tuple[int, int]] = set()
-        # Bumped on every inject/heal.  Consumers that cache derived
-        # data (the model-mode path memo) subscribe via add_listener.
-        self.epoch = 0
+        self.live: dict[str, set] = {}
+        for kind in FAULTS.values():
+            self.live[kind.name] = live = set()
+            setattr(self, kind.live, live)
+        # Consumers that cache derived data (the model-mode path memo,
+        # the routers' evaluate caches) subscribe via add_listener.
         self._listeners: list[FaultListener] = []
         # Network hook: called once per lost in-network packet so
         # in-flight accounting drains instead of hanging.
@@ -62,63 +73,33 @@ class FaultState:
     def add_listener(self, listener: FaultListener) -> None:
         self._listeners.append(listener)
 
-    def _mark(self, cycle: int, kind: str, target: tuple, phase: str) -> None:
-        self.epoch += 1
-        if phase == "inject":
+    # -- fault mutations --------------------------------------------------
+
+    def inject(self, kind: str, target: tuple, cycle: int = 0) -> None:
+        """Mark ``target`` broken; a no-op when it already is."""
+        key = FAULTS[kind].key(target)
+        live = self.live[kind]
+        if key not in live:
+            live.add(key)
             self._injected.increment()
-        else:
+            self._announce(cycle, kind, target, "inject")
+
+    def heal(self, kind: str, target: tuple, cycle: int = 0) -> None:
+        """Mark ``target`` working again; a no-op when it already is."""
+        key = FAULTS[kind].key(target)
+        live = self.live[kind]
+        if key in live:
+            live.discard(key)
             self._healed.increment()
+            self._announce(cycle, kind, target, "heal")
+
+    def _announce(self, cycle: int, kind: str, target: tuple,
+                  phase: str) -> None:
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(FAULT, cycle, self._track, kind, tuple(target), phase)
         for listener in self._listeners:
             listener(kind, target, phase)
-
-    # -- fault mutations --------------------------------------------------
-
-    def fail_pillar(self, xy: tuple[int, int], cycle: int = 0) -> None:
-        if xy not in self.dead_pillars:
-            self.dead_pillars.add(xy)
-            self._mark(cycle, "pillar", xy, "inject")
-
-    def heal_pillar(self, xy: tuple[int, int], cycle: int = 0) -> None:
-        if xy in self.dead_pillars:
-            self.dead_pillars.discard(xy)
-            self._mark(cycle, "pillar", xy, "heal")
-
-    def fail_link(self, coord: Coord, port: Port, cycle: int = 0) -> None:
-        key = (coord, port)
-        if key not in self.dead_links:
-            self.dead_links.add(key)
-            self._mark(cycle, "link", (*coord, port.value), "inject")
-
-    def heal_link(self, coord: Coord, port: Port, cycle: int = 0) -> None:
-        key = (coord, port)
-        if key in self.dead_links:
-            self.dead_links.discard(key)
-            self._mark(cycle, "link", (*coord, port.value), "heal")
-
-    def jam_port(self, coord: Coord, port: Port, cycle: int = 0) -> None:
-        key = (coord, port)
-        if key not in self.jammed_ports:
-            self.jammed_ports.add(key)
-            self._mark(cycle, "router_port", (*coord, port.value), "inject")
-
-    def heal_port(self, coord: Coord, port: Port, cycle: int = 0) -> None:
-        key = (coord, port)
-        if key in self.jammed_ports:
-            self.jammed_ports.discard(key)
-            self._mark(cycle, "router_port", (*coord, port.value), "heal")
-
-    def fail_bank(self, bank: tuple[int, int], cycle: int = 0) -> None:
-        if bank not in self.dead_banks:
-            self.dead_banks.add(bank)
-            self._mark(cycle, "bank", bank, "inject")
-
-    def heal_bank(self, bank: tuple[int, int], cycle: int = 0) -> None:
-        if bank in self.dead_banks:
-            self.dead_banks.discard(bank)
-            self._mark(cycle, "bank", bank, "heal")
 
     # -- hot-path queries -------------------------------------------------
 
@@ -159,16 +140,16 @@ class FaultState:
 
     # -- reporting --------------------------------------------------------
 
+    @property
+    def active(self) -> int:
+        """Faults live right now, over every kind."""
+        return sum(len(live) for live in self.live.values())
+
     def summary(self) -> dict:
-        return {
-            "dead_pillars": sorted(self.dead_pillars),
-            "dead_links": sorted(
-                (*coord, port.value) for coord, port in self.dead_links
-            ),
-            "jammed_ports": sorted(
-                (*coord, port.value) for coord, port in self.jammed_ports
-            ),
-            "dead_banks": sorted(self.dead_banks),
-            "packets_lost": self._packets_lost.value,
-            "unreachable": self._unreachable.value,
+        summary = {
+            kind.live: sorted(kind.target(key) for key in self.live[name])
+            for name, kind in FAULTS.items()
         }
+        summary["packets_lost"] = self._packets_lost.value
+        summary["unreachable"] = self._unreachable.value
+        return summary

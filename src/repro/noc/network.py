@@ -23,6 +23,7 @@ from repro.noc.packet import FlitPool, Packet, MessageClass
 from repro.noc.router import Router, connect
 from repro.noc.routing import Coord, Port, best_pillar
 from repro.noc.interface import NetworkInterface
+from repro.faults.spec import FAULTS
 
 if TYPE_CHECKING:
     from repro.faults.state import FaultState
@@ -290,10 +291,10 @@ class Network:
             router._faults = state
 
     def _on_fault_change(self, kind: str, target: tuple, phase: str) -> None:
-        # Mesh topology changed under the routers' feet: their
+        # A router port failed or healed under the routers' feet: their
         # blocked-evaluate caches may encode decisions (jammed port,
         # dead link) that no longer hold, so drop them and re-arm.
-        if kind in ("link", "router_port"):
+        if FAULTS[kind].port:
             for router in self.routers.values():
                 router._eval_cached = False
                 router.wake()
@@ -384,26 +385,17 @@ class Network:
         return self._completed
 
     def quiesce(self, max_cycles: int = 1_000_000) -> int:
-        """Run the clock until every in-flight packet is delivered."""
+        """Run the clock until every in-flight packet is delivered.
+
+        Returns the cycles that took.  Raises
+        :class:`~repro.sim.engine.SimulationStallError` if the backlog
+        is not empty after ``max_cycles``: a saturated mesh always
+        drains (see DESIGN.md "Saturation and drain behaviour"), so a
+        drain that never ends is a flow-control bug.
+        """
         return self.engine.run_until(
             lambda: self._in_flight == 0, max_cycles=max_cycles
         )
-
-    def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Deliver every in-flight packet with injection stopped.
-
-        Returns the number of cycles the drain took.  Callers must have
-        silenced their traffic sources first (e.g. set a generator's
-        ``injection_rate`` to 0); the network itself injects nothing.
-        Raises :class:`~repro.sim.engine.SimulationStallError` if the
-        backlog fails to empty within ``max_cycles`` — a saturated mesh
-        holds a large post-pillar backlog (see DESIGN.md "Saturation and
-        drain behaviour") but always drains; a non-converging drain is a
-        flow-control bug.
-        """
-        start = self.engine.cycle
-        self.quiesce(max_cycles=max_cycles)
-        return self.engine.cycle - start
 
     # -- reporting -------------------------------------------------------------
 

@@ -165,13 +165,7 @@ def summary_from_results(results: JobResults) -> SweepSummary:
         else:
             summary.cached += 1
     for item in results.failures:
-        error = item.error
-        summary.failures.append(CellFailure(
-            spec=item.spec,
-            kind=error.get("kind", "error"),
-            message=error.get("message", ""),
-            attempts=error.get("attempts", 1),
-        ))
+        summary.failures.append(CellFailure(spec=item.spec, **item.error))
     summary.elapsed_s = results.snapshot.elapsed_s
     return summary
 

@@ -195,6 +195,20 @@ def _versioned(payload: dict) -> dict:
 
 _NON_EMPTY = checked(bool, "a non-empty string")
 
+#: A failed cell's body: exactly these keys, each of exactly this type.
+_FAILURE_FIELDS = {"kind": str, "message": str, "attempts": int}
+_FAILURE_WANT = "a {kind, message, attempts} object"
+
+
+def is_failure_body(error) -> bool:
+    """True for a well-formed ``{kind, message, attempts}`` failure."""
+    return (
+        isinstance(error, dict)
+        and error.keys() == _FAILURE_FIELDS.keys()
+        and all(type(error[key]) is want
+                for key, want in _FAILURE_FIELDS.items())
+    )
+
 
 class WireMessage(Record):
     """Base of every wire message: the record codec, versioned.
@@ -314,7 +328,7 @@ class CellFailureWire(WireMessage):
     index: int = 0
     spec: SimSpec
     spec_hash: str
-    error: dict = field(default_factory=dict)  # {"kind", "message", "attempts"}
+    error: dict = field(metadata=checked(is_failure_body, _FAILURE_WANT))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -437,6 +451,8 @@ class CellOutcome(WireMessage):
             raise TypeError(
                 "a cell outcome carries exactly one of 'stats' or 'error'"
             )
+        if self.error is not None and not is_failure_body(self.error):
+            raise TypeError(f"'error' must be {_FAILURE_WANT}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -67,7 +67,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.spec import SimSpec
 from repro.serve.journal import JOURNAL_NAME, Journal
-from repro.serve.protocol import CellOutcome
+from repro.serve.protocol import CellOutcome, is_failure_body
 
 #: Cell origins: how a delivered result was produced.
 ORIGIN_CACHED = "cached"        # satisfied from the on-disk cache at submit
@@ -252,7 +252,7 @@ class Job:
                     "index": cell.index,
                     "spec": cell.spec.to_dict(),
                     "spec_hash": cell.spec_hash,
-                    "error": dict(cell.error or {}),
+                    "error": dict(cell.error),
                 })
         data = self.snapshot(detail=False)
         data["results"] = results
@@ -642,7 +642,7 @@ class JobStore:
             error = None
             if not record.get("ok"):
                 error = record.get("error")
-                if not isinstance(error, dict):
+                if not is_failure_body(error):
                     error = {
                         "kind": "error",
                         "message": "journaled failure with no error body",
@@ -1224,7 +1224,7 @@ class JobStore:
         else:
             cell.state = "failed"
             cell.error = dict(error)
-            kind = cell.error.get("kind", "error")
+            kind = error["kind"]
             job.failure_kinds[kind] = job.failure_kinds.get(kind, 0) + 1
             kinds = self.totals["failure_kinds"]
             kinds[kind] = kinds.get(kind, 0) + 1

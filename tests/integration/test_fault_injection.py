@@ -26,7 +26,7 @@ from repro.core.schemes import Scheme
 from repro.experiments.config import ExperimentScale
 from repro.experiments.orchestrator import run_sweep
 from repro.experiments.spec import SimSpec, run_spec
-from repro.faults.injector import install_network_faults
+from repro.faults.injector import install_faults
 from repro.faults.spec import FaultEvent, FaultSpec
 from repro.faults.watchdog import DeadlockError
 from repro.noc.network import Network, NetworkConfig
@@ -53,7 +53,7 @@ def _drive(
     )
     network = Network(config, fabric=fabric)
     if faults is not None:
-        install_network_faults(network, faults, seed)
+        install_faults(network, faults, seed)
     rng = random.Random(seed)
     coords = list(network.coords())
     sent = 0
@@ -219,7 +219,7 @@ def test_watchdog_names_stalled_routers_on_seeded_deadlock():
         events=(FaultEvent("router_port", (1, 0, 0, "east")),),
         watchdog_window=200,
     )
-    install_network_faults(network, spec, SEED)
+    install_faults(network, spec, SEED)
     network.send(Coord(0, 0, 0), Coord(3, 0, 0))
     with pytest.raises(DeadlockError) as excinfo:
         network.quiesce(max_cycles=50_000)

@@ -21,6 +21,7 @@ import pytest
 from repro.experiments.orchestrator import ResultCache
 from repro.serve.chaos import RestartableHead
 from repro.serve.client import ServeClient, ServeConnectionError
+from repro.serve.protocol import PROTOCOL_VERSION, CellOutcome, ResultPush
 from repro.serve.worker import WorkerNode
 from tests.integration.test_serve import fake_stats, make_spec
 
@@ -151,6 +152,37 @@ class TestTwoWorkers:
         assert results.snapshot.failed == 1
         assert results.failures[0].error["kind"] == "error"
         assert "exploded" in results.failures[0].error["message"]
+
+
+class TestPushValidation:
+    def test_malformed_failure_body_is_bad_request(self, head):
+        """A pushed failure must be a {kind, message, attempts} object."""
+        client = head.client()
+        snapshot = client.submit([make_spec()])
+        grant = client.lease("w1")
+        (cell,) = grant.cells
+        path = f"/leases/{grant.lease_id}/results"
+        good = {"kind": "timeout", "message": "cell exceeded 1s",
+                "attempts": 2}
+        for bad in ({}, {"knd": "timeout"},
+                    {"kind": "timeout", "message": "x"},
+                    {**good, "attempts": True},
+                    {**good, "extra": 1}):
+            status, __, body = client._request("POST", path, {
+                "token": grant.token,
+                "worker_id": "w1",
+                "outcomes": [{"spec_hash": cell.spec_hash, "error": bad}],
+                "protocol_version": PROTOCOL_VERSION,
+            })
+            assert status == 400, bad
+            assert body["error"]["kind"] == "bad_request"
+        # The lease still stands, and a well-formed failure settles it.
+        push = ResultPush(token=grant.token, worker_id="w1", outcomes=(
+            CellOutcome(spec_hash=cell.spec_hash, error=good),
+        ))
+        assert client.push_results(grant.lease_id, push).accepted == 1
+        results = client.wait(snapshot.job_id)
+        assert [item.error for item in results.failures] == [good]
 
 
 class TestCacheSync:

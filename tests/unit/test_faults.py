@@ -5,21 +5,26 @@ parsing), the arbiter's slot reclamation, the live fault state, the
 liveness watchdog, and the NUCA bank-fault degradation mechanics.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
+from repro.core.system import NetworkInMemory, SystemConfig
 from repro.cache.line import LineEntry
 from repro.cache.nuca import NucaL2
 from repro.dtdma.arbiter import DynamicTDMAArbiter
 from repro.faults.spec import (
     DEFAULT_WATCHDOG_WINDOW,
+    FAULTS,
     FaultEvent,
     FaultSpec,
     mesh_link_targets,
     parse_fault_arg,
 )
+from repro.faults.injector import install_faults
 from repro.faults.state import FaultState
 from repro.faults.watchdog import DeadlockError, LivenessWatchdog
 from repro.noc.network import Network, NetworkConfig
@@ -241,21 +246,40 @@ class TestArbiterRemoveClient:
 class TestFaultState:
     def test_mutations_are_idempotent(self):
         state = FaultState()
-        state.fail_pillar((3, 3))
-        state.fail_pillar((3, 3))
-        assert state.epoch == 1
-        state.heal_pillar((3, 3))
-        state.heal_pillar((3, 3))
-        assert state.epoch == 2
+        seen = []
+        state.add_listener(lambda kind, target, phase: seen.append(phase))
+        state.inject("pillar", (3, 3))
+        state.inject("pillar", (3, 3))
+        assert seen == ["inject"]
+        state.heal("pillar", (3, 3))
+        state.heal("pillar", (3, 3))
+        assert seen == ["inject", "heal"]
         assert not state.dead_pillars
+        assert state.stats.snapshot()["faults.injected"] == 1
+        assert state.stats.snapshot()["faults.healed"] == 1
 
     def test_listeners_notified(self):
         state = FaultState()
         seen = []
         state.add_listener(lambda kind, target, phase: seen.append((kind, phase)))
-        state.fail_link(Coord(1, 2, 0), Port.EAST)
-        state.heal_link(Coord(1, 2, 0), Port.EAST)
+        state.inject("link", (1, 2, 0, "east"))
+        state.heal("link", (1, 2, 0, "east"))
         assert seen == [("link", "inject"), ("link", "heal")]
+
+    def test_live_sets_follow_the_table(self):
+        state = FaultState()
+        for name, kind in FAULTS.items():
+            assert state.live[name] is getattr(state, kind.live)
+        state.inject("link", (1, 2, 0, "east"))
+        state.inject("router_port", (1, 2, 0, "north"))
+        state.inject("bank", (4, 7))
+        assert state.dead_links == {(Coord(1, 2, 0), Port.EAST)}
+        assert state.jammed_ports == {(Coord(1, 2, 0), Port.NORTH)}
+        assert state.dead_banks == {(4, 7)}
+        assert state.active == 3
+        summary = state.summary()
+        assert summary["dead_links"] == [(1, 2, 0, "east")]
+        assert summary["jammed_ports"] == [(1, 2, 0, "north")]
 
     def test_packet_loss_counted_once(self):
         state = FaultState()
@@ -274,10 +298,58 @@ class TestFaultState:
 
     def test_mesh_faulty_only_for_link_faults(self):
         state = FaultState()
-        state.fail_pillar((3, 3))
+        state.inject("pillar", (3, 3))
         assert not state.mesh_faulty
-        state.fail_link(Coord(0, 0, 0), Port.EAST)
+        state.inject("link", (0, 0, 0, "east"))
         assert state.mesh_faulty
+
+
+# -- install-time refusals ----------------------------------------------------
+
+
+def _model_system(**spec):
+    return NetworkInMemory(SystemConfig(faults=FaultSpec(**spec)))
+
+
+class TestInstallRefusals:
+    def test_unknown_pillar_on_the_fabric(self):
+        spec = FaultSpec(events=(FaultEvent("pillar", (0, 0)),))
+        with pytest.raises(ValueError, match=re.escape(
+            "pillar fault targets unknown pillar (0, 0); "
+            "pillars are at [(1, 1), (2, 2)]"
+        )):
+            install_faults(_network(), spec, 1)
+
+    def test_bank_fault_needs_a_cache(self):
+        spec = FaultSpec(events=(FaultEvent("bank", (0, 0)),))
+        with pytest.raises(ValueError, match=re.escape(
+            "bank faults need a cache layer (network-only install "
+            "cannot apply (0, 0))"
+        )):
+            install_faults(_network(), spec, 1)
+
+    @pytest.mark.parametrize("spec", [
+        {"dead_links": 1},
+        {"events": (FaultEvent("link", (1, 1, 0, "east")),)},
+        {"events": (FaultEvent("router_port", (1, 1, 0, "east")),)},
+    ])
+    def test_model_mode_refuses_mesh_faults(self, spec):
+        with pytest.raises(ValueError, match=re.escape(
+            "link/router_port faults require mode='cycle' (the analytic "
+            "model carries no per-link state)"
+        )):
+            _model_system(**spec)
+
+    def test_model_mode_refuses_timed_faults(self):
+        with pytest.raises(ValueError, match=re.escape(
+            "model mode supports only permanent onset-0 faults; "
+            "use mode='cycle' for timed fault schedules"
+        )):
+            _model_system(events=(FaultEvent("bank", (0, 0), duration=5),))
+
+    def test_model_mode_refuses_unknown_pillar(self):
+        with pytest.raises(ValueError, match="unknown pillar"):
+            _model_system(events=(FaultEvent("pillar", (0, 0)),))
 
 
 # -- fault-aware routing ------------------------------------------------------
@@ -338,7 +410,7 @@ class TestLivenessWatchdog:
         network.attach_fault_state(state)
         watchdog = LivenessWatchdog(network, window=100)
         # Jam the only productive port for this flow: hard stall.
-        state.jam_port(Coord(1, 0, 0), Port.EAST)
+        state.inject("router_port", (1, 0, 0, "east"))
         network.send(Coord(0, 0, 0), Coord(3, 0, 0))
         with pytest.raises(DeadlockError) as excinfo:
             for __ in range(1000):
@@ -407,7 +479,7 @@ def _attach(nuca):
 class TestBankFaults:
     def test_dead_bank_remaps_to_alive_neighbor(self, nuca):
         state = _attach(nuca)
-        state.fail_bank((0, 0))
+        state.inject("bank", (0, 0))
         decoded = None
         for address in range(0, 1 << 24, 64):
             candidate = nuca.addr_map.decode(address)
@@ -422,7 +494,7 @@ class TestBankFaults:
         state = _attach(nuca)
         banks = len(nuca.topology.clusters[0].bank_nodes)
         for bank in range(banks // 2):
-            state.fail_bank((0, bank))
+            state.inject("bank", (0, bank))
         nuca.apply_bank_faults()
         store = nuca.clusters[0]
         assert store.effective_ways == store.ways // 2
@@ -445,7 +517,7 @@ class TestBankFaults:
         assert store.free_ways(0) == 0
         banks = len(nuca.topology.clusters[0].bank_nodes)
         for bank in range(banks // 2):
-            state.fail_bank((0, bank))
+            state.inject("bank", (0, bank))
         lost = nuca.apply_bank_faults()
         assert lost == store.ways - store.effective_ways
         assert nuca.stats.scope("faults").counter("bank_lines_lost").value == lost
@@ -458,7 +530,7 @@ class TestBankFaults:
         state = _attach(nuca)
         banks = len(nuca.topology.clusters[0].bank_nodes)
         for bank in range(banks // 2):
-            state.fail_bank((0, bank))
+            state.inject("bank", (0, bank))
         nuca.apply_bank_faults()
         store = nuca.clusters[0]
         filled = 0
@@ -480,7 +552,7 @@ class TestBankFaults:
         state = _attach(nuca)
         banks = len(nuca.topology.clusters[0].bank_nodes)
         for bank in range(banks // 2):
-            state.fail_bank((0, bank))
+            state.inject("bank", (0, bank))
         nuca.apply_bank_faults()
         store = nuca.clusters[0]
         decoded = nuca.addr_map.decode(0)
@@ -492,10 +564,10 @@ class TestBankFaults:
 
     def test_heal_restores_capacity(self, nuca):
         state = _attach(nuca)
-        state.fail_bank((0, 0))
+        state.inject("bank", (0, 0))
         nuca.apply_bank_faults()
         assert nuca.clusters[0].effective_ways < nuca.clusters[0].ways
-        state.heal_bank((0, 0))
+        state.heal("bank", (0, 0))
         nuca.apply_bank_faults()
         assert nuca.clusters[0].effective_ways == nuca.clusters[0].ways
 
@@ -503,6 +575,6 @@ class TestBankFaults:
         state = _attach(nuca)
         banks = len(nuca.topology.clusters[0].bank_nodes)
         for bank in range(banks):
-            state.fail_bank((0, bank))
+            state.inject("bank", (0, bank))
         with pytest.raises(ValueError, match="unservable"):
             nuca.apply_bank_faults()

@@ -127,7 +127,7 @@ class TestPathMemo:
         src, dest = Coord(*victim, 0), Coord(*victim, 1)
         assert before[src, dest] == (0, victim)
 
-        state.fail_pillar(victim)
+        state.inject("pillar", victim)
         # note_packet makes the first lookup after the kill.
         model3d.note_packet(src, dest, 1, 1.0)
         assert bus_rate(model3d, victim) == 0.0
@@ -137,7 +137,7 @@ class TestPathMemo:
             pair: direct_path(*pair, alive) for pair in pairs
         }
 
-        state.heal_pillar(victim)
+        state.heal("pillar", victim)
         # packet_latency makes the first lookup after the heal: zero hops
         # through the healed pillar, whose bus carried nothing.
         cfg = model3d.config
@@ -151,7 +151,7 @@ class TestPathMemo:
         src, cross, same = Coord(1, 1, 0), Coord(6, 3, 1), Coord(6, 3, 0)
         model3d.path(src, cross)  # memoized while the pillars live
         for xy in model3d.topology.pillar_xys:
-            state.fail_pillar(xy)
+            state.inject("pillar", xy)
         # path() makes the first lookup after the last kill.
         with pytest.raises(ValueError):
             model3d.path(src, cross)
@@ -330,9 +330,9 @@ class TestRoundKernels:
         kinds = set()
         for step in range(steps):
             if victim and step == steps // 3:
-                state.fail_pillar(victim)
+                state.inject("pillar", victim)
             if victim and step == 2 * steps // 3:
-                state.heal_pillar(victim)
+                state.heal("pillar", victim)
             if saturate and step % 100 == 0:
                 flood((kernel, reference), *flood_path, cycle)
                 assert load_state(kernel) == load_state(reference)
@@ -439,7 +439,7 @@ class TestRoundKernels:
         model3d.query_round(src, cross, 1, self.TAG, 1.0)
         reference_query_round(reference, src, cross, 1, self.TAG, 1.0)
         for xy in model3d.topology.pillar_xys:
-            state.fail_pillar(xy)
+            state.inject("pillar", xy)
         with pytest.raises(ValueError):
             model3d.query_round(src, cross, 1, self.TAG, 2.0)
         with pytest.raises(ValueError):

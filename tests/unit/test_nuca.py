@@ -364,7 +364,7 @@ class TestHitLookups:
         state = FaultState(stats=nuca.stats)
         nuca.attach_fault_state(state)
         address = address_for_cluster(nuca, 0, index=0)
-        state.fail_bank((0, nuca.addr_map.decode(address).bank))
+        state.inject("bank", (0, nuca.addr_map.decode(address).bank))
         miss = nuca.access(0, address)
         hit = nuca.access(0, address)
         assert (miss.hit, hit.hit) == (False, True)

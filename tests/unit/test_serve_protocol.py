@@ -197,6 +197,19 @@ class TestRoundTrips:
                 "error": {"kind": "error", "message": "x"},
             })
 
+    @pytest.mark.parametrize("error", [
+        {}, {"knd": "timeout"}, {"kind": "crash", "message": "sig 9"},
+        {"kind": "crash", "message": "sig 9", "attempts": "1"},
+        {"kind": "crash", "message": "sig 9", "attempts": 1, "x": 0},
+    ])
+    def test_failure_bodies_are_validated(self, error):
+        with pytest.raises(TypeError, match="kind, message, attempts"):
+            CellOutcome.from_dict({"spec_hash": "aa", "error": error})
+        failure = {"spec": make_spec().to_dict(), "spec_hash": "aa",
+                   "error": error}
+        with pytest.raises(TypeError, match="kind, message, attempts"):
+            CellFailureWire.from_dict(failure)
+
     def test_error_body_optional_fields_skipped_when_unset(self):
         body = ErrorBody(kind="queue_full", message="full",
                          retry_after_s=2.0, pending=10, limit=10)
