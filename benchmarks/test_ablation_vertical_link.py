@@ -9,23 +9,23 @@ vertical mesh pays one full hop (router + wire latency) per layer crossed.
 
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
-from repro.core.latency_model import LatencyModel, LatencyModelConfig
+from repro.core.latency_model import BUS_OVERHEAD, HOP_CYCLES, LatencyModel
 from repro.noc.routing import Coord
 
 
 def crossing_cost_bus(model: LatencyModel, layers_crossed: int) -> float:
     """dTDMA pillar: constant single-hop crossing."""
-    return model.config.bus_overhead
+    return BUS_OVERHEAD
 
 
 def crossing_cost_router(model: LatencyModel, layers_crossed: int) -> float:
     """7-port 3D mesh: one router+link hop per layer crossed."""
-    return model.config.hop_cycles * layers_crossed
+    return HOP_CYCLES * layers_crossed
 
 
 def run_comparison() -> dict[int, tuple[float, float]]:
     topology = build_topology(ChipConfig(num_layers=4))
-    model = LatencyModel(topology, LatencyModelConfig())
+    model = LatencyModel(topology)
     results = {}
     for layers_crossed in (1, 2, 3):
         results[layers_crossed] = (

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.core.chip import ChipConfig
+from repro.params import LINE_BYTES, NUM_CLUSTERS
 
 
 def _log2_exact(value: int, what: str) -> int:
@@ -45,14 +46,14 @@ class AddressMap:
     def __init__(self, config: ChipConfig):
         config.validate()
         self.config = config
-        self.offset_bits = _log2_exact(config.line_bytes, "line size")
+        self.offset_bits = LINE_BYTES.bit_length() - 1
         self.index_bits = _log2_exact(
             config.sets_per_cluster, "sets per cluster"
         )
         self.bank_bits = _log2_exact(
             config.banks_per_cluster, "banks per cluster"
         )
-        self.cluster_bits = _log2_exact(config.num_clusters, "cluster count")
+        self.cluster_bits = NUM_CLUSTERS.bit_length() - 1
         self.sets_per_cluster = config.sets_per_cluster
 
     def decode(self, address: int) -> DecodedAddress:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.chip import ChipTopology, Cluster
+from repro.params import LINE_FLITS
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class MigrationConfig:
 
     enabled: bool = True
     trigger_threshold: int = 2     # accesses by same CPU before a move
-    transfer_flits: int = 4        # one cache line per migration packet
     # CMP-DNUCA (Beckmann & Wood) moves blocks along their *bankset*
     # chain — a one-dimensional path — rather than freely through the 2D
     # cluster grid.  When set, migration steps are restricted to the x
@@ -162,7 +162,6 @@ class MigrationPolicy:
             hops = topo.cluster_distance_hops(
                 topo.clusters[from_cluster], topo.clusters[to_cluster]
             )
-            latency = self._transfers[key] = float(
-                hops + self.config.transfer_flits
-            )
+            # One line moves per migration packet.
+            latency = self._transfers[key] = float(hops + LINE_FLITS)
             return latency

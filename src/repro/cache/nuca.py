@@ -23,6 +23,7 @@ from repro.cache.line import LineEntry
 from repro.cache.cluster_store import ClusterStore
 from repro.cache.search import SearchPlan, SearchPolicy
 from repro.cache.migration import MigrationPolicy, MigrationConfig
+from repro.params import L2_WAYS
 
 if TYPE_CHECKING:
     from repro.faults.state import FaultState
@@ -79,10 +80,7 @@ class NucaL2:
             for cluster in topology.clusters
         ]
         self.clusters = [
-            ClusterStore(
-                cluster.index, self.config.sets_per_cluster,
-                self.config.associativity,
-            )
+            ClusterStore(cluster.index, self.config.sets_per_cluster, L2_WAYS)
             for cluster in topology.clusters
         ]
         # Read per transaction: each cluster's tag array node and bank

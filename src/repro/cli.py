@@ -46,6 +46,7 @@ from repro import api
 from repro.core.chip import ChipConfig
 from repro.core.placement import PlacementPolicy, build_topology
 from repro.core.schemes import Scheme
+from repro.core.system import MODES
 from repro.power.report import energy_report
 from repro.thermal import simulate_thermal
 from repro.workloads.benchmarks import BENCHMARK_NAMES
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit the spec and statistics as JSON")
     run.add_argument(
-        "--mode", choices=("model", "cycle"), default=None,
+        "--mode", choices=MODES, default=None,
         help="timing fidelity (default: model; --trace implies cycle "
              "unless --mode is given explicitly)",
     )
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fault", action="append", default=None,
         metavar="KIND:TARGET[@ONSET][+DURATION]",
-        help="inject an explicit fault (repeatable); e.g. 'pillar:3,3', "
+        help="inject an explicit fault (repeatable); e.g. 'pillar:2,2', "
              "'link:2,1,0,east@1000', 'router_port:1,1,0,north@500+2000', "
              "'bank:4,7'",
     )
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=None,
                        help="workload base seed (default: the scale's)")
     sweep.add_argument(
-        "--mode", choices=("model", "cycle"), default="model",
+        "--mode", choices=MODES, default="model",
         help="timing fidelity for every cell (default: model)",
     )
     sweep.add_argument("--json", action="store_true",

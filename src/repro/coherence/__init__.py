@@ -8,13 +8,12 @@ messages each access implies so the timing layer can charge their network
 traffic.
 """
 
-from repro.coherence.l1cache import L1Cache, L1Config
+from repro.coherence.l1cache import L1Cache
 from repro.coherence.directory import Directory
 from repro.coherence.protocol import CoherentL1System, CoherenceEvent
 
 __all__ = [
     "L1Cache",
-    "L1Config",
     "Directory",
     "CoherentL1System",
     "CoherenceEvent",

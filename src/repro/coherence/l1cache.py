@@ -3,43 +3,26 @@
 Table 4: 64 KB split I/D, 2-way, 64 B lines, 3-cycle access, write-through.
 Write-through means an L1 line is never dirty: evictions and invalidations
 are silent drops, and every store is propagated to the L2.  Store misses
-allocate the line.  The array is functional only: an L1 hit retires in the
-core's base CPI (``SystemConfig.cpi_base``), so the 3-cycle access time is
-not a parameter here.
+allocate the line.  The geometry is the ``L1_*`` and ``LINE_BYTES``
+constants of :mod:`repro.params`.  The array is functional only: an L1
+hit retires at the core's base CPI (``repro.params.CPI_BASE``), so the
+3-cycle access time is not a parameter here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-
-@dataclass
-class L1Config:
-    """Geometry of one L1 array (the I and D sides are separate arrays)."""
-
-    size_kb: int = 64
-    ways: int = 2
-    line_bytes: int = 64
-
-    @property
-    def num_sets(self) -> int:
-        lines = self.size_kb * 1024 // self.line_bytes
-        if lines % self.ways:
-            raise ValueError("L1 lines must divide evenly into ways")
-        return lines // self.ways
+from repro.params import L1_SETS, L1_WAYS, LINE_BYTES
 
 
 class L1Cache:
     """One L1 array with true-LRU replacement over its (few) ways."""
 
-    def __init__(self, cpu_id: int, config: Optional[L1Config] = None):
+    def __init__(self, cpu_id: int):
         self.cpu_id = cpu_id
-        self.config = config or L1Config()
-        if self.config.num_sets & (self.config.num_sets - 1):
-            raise ValueError("L1 set count must be a power of two")
-        self._offset_bits = self.config.line_bytes.bit_length() - 1
-        self._set_mask = self.config.num_sets - 1
+        self._offset_bits = LINE_BYTES.bit_length() - 1
+        self._set_mask = L1_SETS - 1
         # sets[i] is an MRU-ordered list of line addresses (most recent first)
         self._sets: dict[int, list[int]] = {}
         self.hits = 0
@@ -79,7 +62,7 @@ class L1Cache:
             ways.insert(0, line)
             return None
         ways.insert(0, line)
-        if len(ways) > self.config.ways:
+        if len(ways) > L1_WAYS:
             return ways.pop()
         return None
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from repro.cache.nuca import IFETCH, WRITE, AccessType
-from repro.coherence.l1cache import L1Cache, L1Config
+from repro.coherence.l1cache import L1Cache
 from repro.coherence.directory import Directory
+from repro.params import LINE_BYTES
 from repro.sim.trace import COHERENCE, NULL_TRACER, Tracer
 
 
@@ -51,13 +52,7 @@ WRITE_THROUGH_HIT = CoherenceEvent(True, True)
 class CoherentL1System:
     """All private L1s plus the sharer directory, MSI over write-through."""
 
-    def __init__(
-        self,
-        num_cpus: int,
-        config: Optional[L1Config] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        self.config = config or L1Config()
+    def __init__(self, num_cpus: int, tracer: Optional[Tracer] = None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Per-CPU tracks for writer-initiated invalidations; L2-initiated
         # back-invalidations land on one shared "coherence" track.
@@ -67,8 +62,8 @@ class CoherentL1System:
         self._sys_track = self.tracer.track("coherence")
         # Split I/D: instruction fetches and data references index
         # separate 64 KB arrays, as in Table 4.
-        self.dcaches = [L1Cache(cpu, self.config) for cpu in range(num_cpus)]
-        self.icaches = [L1Cache(cpu, self.config) for cpu in range(num_cpus)]
+        self.dcaches = [L1Cache(cpu) for cpu in range(num_cpus)]
+        self.icaches = [L1Cache(cpu) for cpu in range(num_cpus)]
         self.directory = Directory(num_cpus)
         # Small write-combining buffer per CPU (8 lines, LRU): stores to a
         # line already in the buffer coalesce into the earlier
@@ -155,7 +150,8 @@ class CoherentL1System:
                 COHERENCE, cycle, self._sys_track, "l2_eviction", line_address,
                 tuple(targets),
             )
-        address = line_address * self.config.line_bytes
+        # The L2 numbers lines in the same LINE_BYTES units as the L1s.
+        address = line_address * LINE_BYTES
         for target in targets:
             self.dcaches[target].invalidate(address)
             self.icaches[target].invalidate(address)

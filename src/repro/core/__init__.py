@@ -14,7 +14,7 @@ from repro.core.placement import (
     place_cpus,
     algorithm1_offsets,
 )
-from repro.core.latency_model import LatencyModel, LatencyModelConfig
+from repro.core.latency_model import LatencyModel
 from repro.core.schemes import Scheme, make_chip_config
 from repro.core.system import NetworkInMemory, SystemConfig, TransactionResult
 
@@ -28,7 +28,6 @@ __all__ = [
     "place_cpus",
     "algorithm1_offsets",
     "LatencyModel",
-    "LatencyModelConfig",
     "Scheme",
     "make_chip_config",
     "NetworkInMemory",

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.noc.routing import Coord
+from repro.params import BANK_KB, L2_WAYS, LINE_BYTES, NUM_CLUSTERS
 
 
 class NodeRole(enum.Enum):
@@ -51,23 +52,21 @@ _CLUSTER_GRIDS = {16: (4, 4), 8: (4, 2), 4: (2, 2), 2: (2, 1), 1: (1, 1)}
 
 @dataclass
 class ChipConfig:
-    """Physical configuration of the 3D chip (paper Table 4 defaults)."""
+    """Physical configuration of the 3D chip (paper Table 4 defaults).
+
+    The bank size, line size, associativity and cluster count are the
+    constants of :mod:`repro.params`.
+    """
 
     num_cpus: int = 8
     num_layers: int = 2
     num_pillars: int = 8
     cache_mb: int = 16
-    bank_kb: int = 64
-    line_bytes: int = 64
-    associativity: int = 16
-    num_clusters: int = 16
 
     def validate(self) -> None:
         if self.num_layers not in (1, 2, 4, 8):
             raise ValueError(f"unsupported layer count {self.num_layers}")
-        if self.num_clusters % self.num_layers != 0:
-            raise ValueError("clusters must divide evenly across layers")
-        if self.total_banks % self.num_clusters != 0:
+        if self.total_banks % NUM_CLUSTERS != 0:
             raise ValueError("banks must divide evenly across clusters")
         if self.banks_per_cluster not in _CLUSTER_TILES:
             raise ValueError(
@@ -84,15 +83,15 @@ class ChipConfig:
 
     @property
     def total_banks(self) -> int:
-        return self.cache_mb * 1024 // self.bank_kb
+        return self.cache_mb * 1024 // BANK_KB
 
     @property
     def banks_per_cluster(self) -> int:
-        return self.total_banks // self.num_clusters
+        return self.total_banks // NUM_CLUSTERS
 
     @property
     def clusters_per_layer(self) -> int:
-        return self.num_clusters // self.num_layers
+        return NUM_CLUSTERS // self.num_layers
 
     @property
     def cluster_tile(self) -> tuple[int, int]:
@@ -113,16 +112,16 @@ class ChipConfig:
 
     @property
     def lines_per_bank(self) -> int:
-        return self.bank_kb * 1024 // self.line_bytes
+        return BANK_KB * 1024 // LINE_BYTES
 
     @property
     def sets_per_cluster(self) -> int:
         """Index space of one cluster (each set is 16-way)."""
-        return self.banks_per_cluster * self.lines_per_bank // self.associativity
+        return self.banks_per_cluster * self.lines_per_bank // L2_WAYS
 
     @property
     def sets_per_bank(self) -> int:
-        return self.lines_per_bank // self.associativity
+        return self.lines_per_bank // L2_WAYS
 
 
 @dataclass
@@ -320,8 +319,8 @@ class ChipTopology:
         width, height = cfg.mesh_dims
         lines = [
             f"Chip: {cfg.num_layers} layer(s) of {width}x{height} nodes, "
-            f"{cfg.total_banks} banks x {cfg.bank_kb}KB = {cfg.cache_mb}MB L2",
-            f"Clusters: {cfg.num_clusters} "
+            f"{cfg.total_banks} banks x {BANK_KB}KB = {cfg.cache_mb}MB L2",
+            f"Clusters: {NUM_CLUSTERS} "
             f"({cfg.clusters_per_layer}/layer, {cfg.banks_per_cluster} banks each)",
             f"Pillars: {self.pillar_xys}",
         ]

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from repro.noc.network import Network, NetworkConfig
 from repro.noc.packet import MessageClass, Packet
 from repro.noc.routing import Coord, route_hop_count
+from repro.params import MEMORY_LATENCY, REQUEST_FLITS, TAG_LATENCY
 
 if TYPE_CHECKING:
     from repro.core.system import NetworkInMemory
@@ -34,7 +35,6 @@ class CycleMedium:
     """
 
     def __init__(self, system: "NetworkInMemory"):
-        self.cfg = system.config
         # RunStats reads the run's traffic totals off the system's
         # LatencyModel in both modes; in this one the fabric feeds them.
         self.totals = system.model
@@ -45,7 +45,6 @@ class CycleMedium:
             height=height,
             layers=chip.num_layers,
             pillar_locations=tuple(system.topology.pillar_xys),
-            packet_flits=system.config.data_flits,
         )
         # One transaction leg in flight at a time leaves most of the
         # fabric quiescent, which is exactly where the network's own
@@ -80,7 +79,7 @@ class CycleMedium:
             max_cycles=1_000_000,
         )
         if packet.lost:
-            return float(self.cfg.memory_latency)
+            return float(MEMORY_LATENCY)
         return float(packet.latency)
 
     def leg(self, src, dest, flits, cycle, cls) -> float:
@@ -94,7 +93,7 @@ class CycleMedium:
 
     def multicast(self, src, targets, answer, cycle) -> float:
         """The answer's query is timed; the others fly in the background."""
-        flits = self.cfg.request_flits
+        flits = REQUEST_FLITS
         for target in targets:
             if target != answer:
                 self.send(src, target, flits, cycle, MessageClass.REQUEST)
@@ -102,16 +101,15 @@ class CycleMedium:
 
     def query_round(self, src, targets, cycle) -> float:
         """Every query is in flight before the first is awaited."""
-        flits = self.cfg.request_flits
-        tag = self.cfg.tag_latency
+        flits = REQUEST_FLITS
         queries = [
             (target, self._inject(src, target, flits, MessageClass.REQUEST))
             for target in targets
             if target != src
         ]
-        worst = float(tag)
+        worst = float(TAG_LATENCY)
         for target, packet in queries:
             out = self._arrival(packet)
             back = self.leg(target, src, flits, cycle, MessageClass.REQUEST)
-            worst = max(worst, out + tag + back)
+            worst = max(worst, out + TAG_LATENCY + back)
         return worst

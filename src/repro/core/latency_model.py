@@ -6,21 +6,24 @@ packet with this model instead of injecting flits.  The model mirrors the
 cycle-accurate fabric's zero-load behaviour exactly and approximates
 contention with M/D/1-style queueing terms driven by online load estimates:
 
-* **zero-load**: ``hop_cycles`` (2.0) per mesh hop, one single-stage
+* **zero-load**: :data:`HOP_CYCLES` per mesh hop, one single-stage
   router cycle plus one wire cycle, as in the cycle simulator; a fixed
   injection/ejection overhead, wormhole serialization of ``size - 1``
-  flits, and two extra cycles for a vertical bus crossing (transceiver +
-  bus slot).
+  flits, and :data:`BUS_OVERHEAD` extra cycles for a vertical bus
+  crossing (transceiver + bus slot).
 * **mesh contention**: per-hop queueing wait of
-  ``q_mesh * rho / (1 - rho)`` where ``rho`` is the estimated flit-hop
+  ``Q_MESH * rho / (1 - rho)`` where ``rho`` is the estimated flit-hop
   utilization of the mesh.
 * **pillar contention**: the bus serves one flit per cycle shared by all
   active clients; at utilization ``rho_b`` the head flit waits
-  ``q_bus * rho_b / (1 - rho_b)`` and serialization across the bus
+  ``Q_BUS * rho_b / (1 - rho_b)`` and serialization across the bus
   stretches by ``1 / (1 - rho_b)``.
 
-The q-constants are calibrated against the cycle-accurate simulator
-(``tests/integration/test_model_calibration.py``).
+The eight calibration values are the module constants below.  The
+q-weights are calibrated against the cycle-accurate simulator
+(``tests/integration/test_model_calibration.py``), and
+``tests/unit/test_params.py`` asserts the bounds the round kernels
+rely on.
 
 Every figure is priced through :meth:`LatencyModel.packet_latency` and
 :meth:`LatencyModel.note_packet`, one packet at a time, and through
@@ -32,18 +35,16 @@ itself.  A round's table, compiled once per ``(src, targets, flits)``,
 marks the (query, reply) pairs that can set the round's worst.  A pair
 that a later pair dominates leg by leg (at least as many hops, and the
 same pillar or none crossed) cannot: loads only grow along a round, and
-under the bounds :class:`LatencyModelConfig` validates a leg's latency
-never falls as its hops or the load grow.  ``query_round`` prices the
-marked pairs with the float operations of ``packet_latency`` in the
-same order.  Every other packet, and every query of a multicast, adds
-its load one packet at a time in packet order, as ``note_packet``
-would.  So no simulated number depends on which of them priced or
-recorded a packet.
+within the bounds the constants keep, a leg's latency never falls as
+its hops or the load grow.  ``query_round`` prices the marked pairs
+with the float operations of ``packet_latency`` in the same order.
+Every other packet, and every query of a multicast, adds its load one
+packet at a time in packet order, as ``note_packet`` would.  So no
+simulated number depends on which of them priced or recorded a packet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, TYPE_CHECKING
 
 from repro.noc.routing import Coord, best_pillar
@@ -89,41 +90,22 @@ class RoundTable(NamedTuple):
     bus_load: float      # flits * 0.693 / window: one pillar packet's load
 
 
-@dataclass(frozen=True)
-class LatencyModelConfig:
-    """Tunables of the analytic latency model.
-
-    Frozen, because a model reads them once when it is built.  The
-    bounds are the preconditions under which a packet's latency never
-    falls as its hops or the load grow, which the round kernels rely on.
-    """
-
-    hop_cycles: float = 2.0          # per mesh hop (1 router + 1 wire)
-    injection_overhead: float = 1.0  # NIC inject + eject, measured
-    bus_overhead: float = 2.0        # transceiver hand-off + slot grant
-    q_mesh: float = 0.7              # mesh queueing weight (calibrated)
-    q_bus: float = 1.0               # bus queueing weight (calibrated)
-    mesh_capacity_factor: float = 0.40   # saturation flits/node/cycle
-    load_window: float = 2048.0      # cycles of EMA memory for load
-    max_utilization: float = 0.95    # clamp to keep waits finite
-
-    def __post_init__(self) -> None:
-        for name in (
-            "hop_cycles", "injection_overhead", "bus_overhead",
-            "q_mesh", "q_bus",
-        ):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        for name in ("mesh_capacity_factor", "load_window"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        if not 0 <= self.max_utilization < 1:
-            raise ValueError(
-                f"max_utilization must be in [0, 1), "
-                f"got {self.max_utilization!r}"
-            )
+#: Cycles per mesh hop: one single-stage router cycle plus one wire cycle.
+HOP_CYCLES = 2.0
+#: NIC injection plus ejection, measured on the fabric.
+INJECTION_OVERHEAD = 1.0
+#: Transceiver hand-off plus bus slot grant of a pillar crossing.
+BUS_OVERHEAD = 2.0
+#: Mesh queueing weight (calibrated).
+Q_MESH = 0.7
+#: Bus queueing weight (calibrated).
+Q_BUS = 1.0
+#: Saturation throughput of the mesh, in flits per node per cycle.
+MESH_CAPACITY_FACTOR = 0.40
+#: Cycles of memory of the load estimates: their half-life.
+LOAD_WINDOW = 2048.0
+#: Utilization clamp that keeps the queueing waits finite.
+MAX_UTILIZATION = 0.95
 
 
 def _dominates(later: tuple[Leg, Leg], pair: tuple[Leg, Leg]) -> bool:
@@ -160,22 +142,21 @@ class LatencyModel:
     :meth:`note_packet` so utilization estimates track the offered load.
     """
 
-    def __init__(self, topology: ChipTopology, config: Optional[LatencyModelConfig] = None):
+    def __init__(self, topology: ChipTopology):
         self.topology = topology
-        self.config = cfg = config or LatencyModelConfig()
         width, height = topology.config.mesh_dims
         num_nodes = width * height * topology.config.num_layers
         # Read once per call by the pricing paths, in this order.
         self._constants = (
-            num_nodes * cfg.mesh_capacity_factor,  # mesh capacity
-            cfg.max_utilization,
-            cfg.injection_overhead,
-            cfg.hop_cycles,
-            cfg.q_mesh,
-            cfg.q_bus,
-            cfg.bus_overhead,
+            num_nodes * MESH_CAPACITY_FACTOR,  # mesh capacity
+            MAX_UTILIZATION,
+            INJECTION_OVERHEAD,
+            HOP_CYCLES,
+            Q_MESH,
+            Q_BUS,
+            BUS_OVERHEAD,
         )
-        self._window = cfg.load_window
+        self._window = LOAD_WINDOW
         # Load accounting: decaying rates, advanced lazily per report.
         self._last_cycle = 0.0
         self._mesh_rate = 0.0                     # flit-hops per cycle
@@ -337,7 +318,7 @@ class LatencyModel:
 
         The mesh utilization is the chip-wide flit-hop rate over the
         mesh's forwarding capacity and the bus utilization is the crossed
-        pillar's flit rate, each clamped to ``max_utilization``.  With
+        pillar's flit rate, each clamped to :data:`MAX_UTILIZATION`.  With
         ``record`` and a ``cycle``, the packet's own load is then added
         exactly as :meth:`note_packet` would add it.
         """
@@ -399,11 +380,11 @@ class LatencyModel:
         if cycle > self._last_cycle:
             self._decay_to(cycle)
         # Exact only while every weight is >= 0, every packet is at
-        # least one flit and max_utilization < 1, as LatencyModelConfig
-        # and _compile_round enforce: then no load added along the round
-        # lowers a later packet's latency, so a pair that a later pair
-        # dominates cannot set the worst.  Every packet still adds its
-        # load, one add per packet in packet order.
+        # least one flit and MAX_UTILIZATION < 1, as the constants test
+        # asserts and _compile_round enforces: then no load added along
+        # the round lowers a later packet's latency, so a pair that a
+        # later pair dominates cannot set the worst.  Every packet still
+        # adds its load, one add per packet in packet order.
         (capacity, ceiling, injection, hop_cycles, q_mesh, q_bus,
          bus_overhead) = self._constants
         serialization = float(flits - 1)
@@ -480,12 +461,11 @@ class LatencyModel:
 
     def zero_load_latency(self, src: Coord, dest: Coord, size_flits: int) -> float:
         """Latency ignoring all contention (for tests and sanity checks)."""
-        cfg = self.config
         if src == dest:
             return 0.0
         hops, pillar = self.path(src, dest)
-        latency = cfg.injection_overhead + hops * cfg.hop_cycles
+        latency = INJECTION_OVERHEAD + hops * HOP_CYCLES
         latency += size_flits - 1
         if pillar is not None:
-            latency += cfg.bus_overhead
+            latency += BUS_OVERHEAD
         return latency

@@ -42,9 +42,12 @@ from repro.cache.nuca import WRITE, AccessOutcome
 from repro.core.latency_model import LatencyModel
 from repro.noc.packet import MessageClass
 from repro.noc.routing import Coord
+from repro.params import (
+    BANK_LATENCY, LINE_FLITS, MEMORY_LATENCY, REQUEST_FLITS, TAG_LATENCY,
+)
 
 if TYPE_CHECKING:
-    from repro.core.system import NetworkInMemory, SystemConfig
+    from repro.core.system import NetworkInMemory
 
 REQUEST = MessageClass.REQUEST
 DATA = MessageClass.DATA
@@ -55,8 +58,8 @@ class Medium(Protocol):
 
     ``cycle`` is the requester's clock and ``cls`` the packet's message
     class; a medium uses whichever it models.  Queries are
-    ``request_flits`` long and every probed tag array takes
-    ``tag_latency`` to answer.
+    ``REQUEST_FLITS`` long and every probed tag array takes
+    ``TAG_LATENCY`` to answer (:mod:`repro.params`).
     """
 
     def leg(self, src: Coord, dest: Coord, flits: int, cycle: float,
@@ -79,9 +82,8 @@ class Medium(Protocol):
 class ModelMedium:
     """Prices packets with the analytic latency model."""
 
-    def __init__(self, model: LatencyModel, config: "SystemConfig"):
+    def __init__(self, model: LatencyModel):
         self.model = model
-        self.cfg = config
 
     def leg(self, src, dest, flits, cycle, cls) -> float:
         if src == dest:
@@ -93,13 +95,11 @@ class ModelMedium:
 
     def multicast(self, src, targets, answer, cycle) -> float:
         """Every query is recorded first, so the answer's sees their load."""
-        return self.model.multicast(
-            src, targets, answer, self.cfg.request_flits, cycle
-        )
+        return self.model.multicast(src, targets, answer, REQUEST_FLITS, cycle)
 
     def query_round(self, src, targets, cycle) -> float:
         return self.model.query_round(
-            src, targets, self.cfg.request_flits, self.cfg.tag_latency, cycle
+            src, targets, REQUEST_FLITS, TAG_LATENCY, cycle
         )
 
 
@@ -108,7 +108,6 @@ class TransactionPricer:
 
     def __init__(self, system: "NetworkInMemory", medium: Medium):
         self.medium = medium
-        self.cfg = system.config
         self.cpu_positions = system.topology.cpu_positions
         self.clusters = system.topology.clusters
         # Cluster.center builds a new Coord on every read.
@@ -138,7 +137,6 @@ class TransactionPricer:
         return found
 
     def price(self, cpu_id: int, outcome: AccessOutcome, cycle: float) -> float:
-        cfg = self.cfg
         medium = self.medium
         cpu_node = self.cpu_positions[cpu_id]
         tag_node = outcome.tag_node
@@ -150,17 +148,17 @@ class TransactionPricer:
             source, target = migration
             src = self._centers[source]
             dst = self._centers[target]
-            medium.send(src, dst, cfg.data_flits, cycle, MessageClass.MIGRATION)
-            medium.send(dst, src, cfg.data_flits, cycle, MessageClass.MIGRATION)
+            medium.send(src, dst, LINE_FLITS, cycle, MessageClass.MIGRATION)
+            medium.send(dst, src, LINE_FLITS, cycle, MessageClass.MIGRATION)
 
         if self.perfect_search:
             latency = medium.leg(
-                cpu_node, tag_node, cfg.request_flits, cycle, REQUEST
+                cpu_node, tag_node, REQUEST_FLITS, cycle, REQUEST
             )
             if outcome.hit:
-                return (latency + cfg.tag_latency
+                return (latency + TAG_LATENCY
                         + self._data_phase(cpu_node, outcome, cycle))
-            latency += cfg.tag_latency + cfg.memory_latency
+            latency += TAG_LATENCY + MEMORY_LATENCY
         else:
             local, step1, step2 = self._plan(cpu_id)
             if outcome.hit and outcome.search_step == 1:
@@ -168,21 +166,21 @@ class TransactionPricer:
                 # decides; the requester probes its local tags directly.
                 answer = cpu_node if outcome.cluster == local else tag_node
                 latency = (medium.multicast(cpu_node, step1, answer, cycle)
-                           + cfg.tag_latency)
+                           + TAG_LATENCY)
                 return latency + self._data_phase(cpu_node, outcome, cycle)
             # Step 1 concluded with misses everywhere.
             latency = medium.query_round(cpu_node, step1, cycle)
             if outcome.hit:
                 # Step-2 multicast; the hitting cluster answers.
                 latency += (medium.multicast(cpu_node, step2, tag_node, cycle)
-                            + cfg.tag_latency)
+                            + TAG_LATENCY)
                 return latency + self._data_phase(cpu_node, outcome, cycle)
             # Full L2 miss: both rounds, then memory.
             latency += medium.query_round(cpu_node, step2, cycle)
-            latency += cfg.memory_latency
+            latency += MEMORY_LATENCY
         # Refill traffic from the memory port to the home bank.
         medium.send(
-            self.memory_node, outcome.bank_node, cfg.data_flits, cycle, DATA
+            self.memory_node, outcome.bank_node, LINE_FLITS, cycle, DATA
         )
         return latency
 
@@ -195,16 +193,15 @@ class TransactionPricer:
         returns the line to the CPU.  Writes: the CPU ships the line to
         the bank (write-through); nothing returns.
         """
-        cfg = self.cfg
         leg = self.medium.leg
         bank_node = outcome.bank_node
         if outcome.access_type is WRITE:
-            return (leg(cpu_node, bank_node, cfg.data_flits, cycle, DATA)
-                    + cfg.bank_latency)
+            return (leg(cpu_node, bank_node, LINE_FLITS, cycle, DATA)
+                    + BANK_LATENCY)
         return (
-            leg(outcome.tag_node, bank_node, cfg.request_flits, cycle, REQUEST)
-            + cfg.bank_latency
-            + leg(bank_node, cpu_node, cfg.data_flits, cycle, DATA)
+            leg(outcome.tag_node, bank_node, REQUEST_FLITS, cycle, REQUEST)
+            + BANK_LATENCY
+            + leg(bank_node, cpu_node, LINE_FLITS, cycle, DATA)
         )
 
     def charge_invalidations(
@@ -212,9 +209,8 @@ class TransactionPricer:
     ) -> None:
         """Invalidation + ack traffic (off the critical path)."""
         send = self.medium.send
-        flits = self.cfg.request_flits
         for cpu in cpu_targets:
             node = self.cpu_positions[cpu]
             if node != src:
-                send(src, node, flits, cycle, MessageClass.COHERENCE)
-                send(node, src, flits, cycle, MessageClass.COHERENCE)
+                send(src, node, REQUEST_FLITS, cycle, MessageClass.COHERENCE)
+                send(node, src, REQUEST_FLITS, cycle, MessageClass.COHERENCE)

@@ -17,22 +17,22 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 from repro.codec import Record
+from repro.params import CPI_BASE
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.noc.routing import Coord
 from repro.core.chip import ChipTopology
 from repro.core.placement import PlacementPolicy, build_topology
 from repro.core.schemes import Scheme, SchemeSetup, make_chip_config
-from repro.core.latency_model import LatencyModel, LatencyModelConfig
+from repro.core.latency_model import LatencyModel
 from repro.core.pricing import ModelMedium, TransactionPricer
 from repro.cache.nuca import IFETCH, READ, WRITE, AccessType, NucaL2
 from repro.cache.migration import MigrationConfig
 from repro.coherence.protocol import CoherentL1System
-from repro.coherence.l1cache import L1Config
 from repro.cpu.core import InOrderCore
 from repro.cpu.trace import OP_READ, OP_WRITE, OP_IFETCH, TraceEvent
 
@@ -42,23 +42,24 @@ if TYPE_CHECKING:
 
 _OP_TO_TYPE = {OP_READ: READ, OP_WRITE: WRITE, OP_IFETCH: IFETCH}
 
+#: The timing fidelity modes (module docstring).
+MODES = ("model", "cycle")
+
 
 @dataclass
 class SystemConfig:
-    """Timing and policy parameters of the whole system (Table 4)."""
+    """What varies between simulated systems.
+
+    The fixed parameters of Table 4 (latencies, flits, cache geometry,
+    base CPI) are the constants of :mod:`repro.params`.
+    """
 
     scheme: Scheme = Scheme.CMP_DNUCA_3D
     cache_mb: int = 16
     num_layers: int = 2
     num_pillars: int = 8
     num_cpus: int = 8
-    mode: str = "model"            # "model" or "cycle"
-    tag_latency: int = 4           # per-cluster tag array access (Cacti)
-    bank_latency: int = 5          # 64KB bank access (Cacti)
-    memory_latency: int = 260      # off-chip memory
-    request_flits: int = 1         # tag query / request header
-    data_flits: int = 4            # 64B line = 4 x 128-bit flits
-    cpi_base: float = 1.0
+    mode: str = "model"            # one of MODES
     # Structured event tracing: None (default) means probe sites see the
     # NullTracer and the hot path stays allocation-free.
     tracer: Optional[Tracer] = None
@@ -66,8 +67,6 @@ class SystemConfig:
     # Lazy and conservative: shared lines whose accessors alternate are
     # left in place (anti-ping-pong).
     migration_threshold: int = 2
-    latency_model: LatencyModelConfig = field(default_factory=LatencyModelConfig)
-    l1: L1Config = field(default_factory=L1Config)
     # Override the scheme's default CPU placement (ablations: e.g. run the
     # 3D scheme with STACKED CPUs to expose the pillar-congestion cost).
     placement_override: Optional["PlacementPolicy"] = None
@@ -83,18 +82,8 @@ class SystemConfig:
     fault_seed: int = 2006
 
     def validate(self) -> None:
-        if self.mode not in ("model", "cycle"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tag_latency < 1 or self.bank_latency < 1:
-            raise ValueError("array latencies must be positive")
-        if self.memory_latency < 0:
-            raise ValueError(
-                f"memory_latency must be >= 0, got {self.memory_latency!r}"
-            )
-        for name in ("request_flits", "data_flits"):
-            flits = getattr(self, name)
-            if flits < 1:
-                raise ValueError(f"{name} must be >= 1, got {flits!r}")
 
 
 @dataclass(slots=True)
@@ -148,25 +137,19 @@ class NetworkInMemory:
                 if setup.scheme == Scheme.CMP_DNUCA
                 else self.config.migration_threshold
             ),
-            transfer_flits=self.config.data_flits,
             bankset_chains=(setup.scheme == Scheme.CMP_DNUCA),
         )
         self.l2 = NucaL2(
             self.topology, migration, stats=self.stats, tracer=self.tracer
         )
-        self.l1s = CoherentL1System(
-            setup.chip.num_cpus, self.config.l1, tracer=self.tracer
-        )
-        self.cores = [
-            InOrderCore(cpu, cpi_base=self.config.cpi_base)
-            for cpu in range(setup.chip.num_cpus)
-        ]
+        self.l1s = CoherentL1System(setup.chip.num_cpus, tracer=self.tracer)
+        self.cores = [InOrderCore(cpu) for cpu in range(setup.chip.num_cpus)]
         width, __ = setup.chip.mesh_dims
         self.memory_node = Coord(width // 2, 0, 0)
 
-        self.model = LatencyModel(self.topology, self.config.latency_model)
+        self.model = LatencyModel(self.topology)
         if self.config.mode == "model":
-            medium = ModelMedium(self.model, self.config)
+            medium = ModelMedium(self.model)
         else:
             from repro.core.cycle_driver import CycleMedium
 
@@ -277,6 +260,7 @@ class NetworkInMemory:
         invalidations = self._invalidations
         cpu_positions = self.topology.cpu_positions
         op_to_type = _OP_TO_TYPE
+        cpi_base = CPI_BASE
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
         # Counts down to 0 at the last warm-up reference, then goes
@@ -289,7 +273,6 @@ class NetworkInMemory:
             # Run this CPU, its counts in locals, until its key passes the
             # earliest waiting one, its trace runs dry or warm-up ends.
             core = cores[cpu]
-            cpi_base = core.cpi_base
             clock = core.clock
             instructions = core.instructions
             stalls = core.memory_stall_cycles

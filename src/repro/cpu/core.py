@@ -1,7 +1,8 @@
 """In-order single-issue core: the timing skeleton of one CPU.
 
 The core holds one CPU's clock and instruction accounting.  Between
-references it retires ``gap`` ordinary instructions at the base CPI; a
+references it retires ``gap`` ordinary instructions at the base CPI
+(:data:`repro.params.CPI_BASE`); a
 reference that hits the L1 costs one (pipelined) cycle; a read or ifetch
 that misses stalls the core for the full L2 transaction latency; stores
 retire into the write buffer without stalling (their L2 traffic is still
@@ -20,7 +21,6 @@ class InOrderCore:
     """Per-CPU clock and instruction accounting."""
 
     cpu_id: int
-    cpi_base: float = 1.0
     clock: float = 0.0
     clock_at_reset: float = 0.0   # set when statistics are reset (warmup)
     instructions: float = 0.0

@@ -39,7 +39,8 @@ from repro.codec import (
 from repro.core.chip import ChipTopology
 from repro.core.placement import build_topology
 from repro.core.schemes import Scheme, make_chip_config
-from repro.core.system import NetworkInMemory, RunStats, SystemConfig
+from repro.core.system import MODES, NetworkInMemory, RunStats, SystemConfig
+from repro.faults.injector import cache_banks, resolve_faults
 from repro.faults.spec import FaultSpec
 from repro.sim.rng import derive_seed
 from repro.sim.trace import TraceSpec
@@ -106,12 +107,27 @@ class SimSpec(Record):
     faults: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
-        # A chip that does not tile or place is refused here, not by the
-        # worker that would build the cell.
-        _placed_chip(
+        # A mode no back end runs, a chip that does not tile or place and
+        # a fault the cell's back end cannot take are refused here, not
+        # by the worker that would build the cell.  The faults resolve
+        # as NetworkInMemory installs them, on the same chip and seed.
+        if self.mode not in MODES:
+            raise ValueError(
+                f"unknown mode {self.mode!r}; choose from {list(MODES)}"
+            )
+        chip = _placed_chip(
             self.scheme, self.cache_mb, self.layers, self.pillars,
             self.num_cpus,
         )
+        if self.faults is not None:
+            resolve_faults(
+                self.faults,
+                self.seed,
+                clocked=self.mode == "cycle",
+                mesh=(*chip.config.mesh_dims, chip.config.num_layers),
+                pillars=tuple(chip.pillar_xys),
+                banks=cache_banks(chip),
+            )
 
     @classmethod
     def make(

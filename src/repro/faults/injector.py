@@ -1,10 +1,10 @@
 """Fault injection: install a fault spec on either timing back end.
 
 :func:`install_faults` is the one entry point for both timing modes.  It
-resolves a :class:`FaultSpec` against the back end's candidate pools,
-builds the live :class:`FaultState`, attaches it to the back end (and to
-the NUCA cache when one is given), and hands the schedule to a
-:class:`FaultInjector`:
+resolves a :class:`FaultSpec` against the back end's candidate pools
+with :func:`resolve_faults`, builds the live :class:`FaultState`,
+attaches it to the back end (and to the NUCA cache when one is given),
+and hands the schedule to a :class:`FaultInjector`:
 
 * on the cycle-accurate :class:`~repro.noc.network.Network` each fault's
   onset (and, for transients, its heal) becomes an engine event firing
@@ -15,6 +15,10 @@ the NUCA cache when one is given), and hands the schedule to a
   clock and no per-link state, so it takes only permanent onset-0
   faults of the kinds whose :class:`~repro.faults.spec.FaultKind` is not
   ``mesh``, applied at install.
+
+``SimSpec`` calls :func:`resolve_faults` on its placed chip when it is
+built, so a cell whose faults its system cannot take is refused before
+any worker runs it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Callable, Optional
 from repro.faults.spec import FAULTS, FaultEvent, FaultSpec, mesh_link_targets
 from repro.faults.state import FaultState
 from repro.faults.watchdog import LivenessWatchdog
+from repro.noc.routing import Port
 
 
 class FaultInjector:
@@ -95,6 +100,94 @@ class FaultInjector:
             self._on_bank_change()
 
 
+def cache_banks(topology) -> tuple[tuple[int, int], ...]:
+    """The ``(cluster, bank)`` pool of a placed chip's L2 cache."""
+    return tuple(
+        (cluster.index, bank)
+        for cluster in topology.clusters
+        for bank in range(len(cluster.bank_nodes))
+    )
+
+
+def resolve_faults(
+    spec: FaultSpec,
+    seed: int,
+    *,
+    clocked: bool,
+    mesh: tuple[int, int, int],
+    pillars: tuple[tuple[int, int], ...],
+    banks: Optional[tuple[tuple[int, int], ...]],
+) -> tuple[FaultEvent, ...]:
+    """The schedule ``spec`` makes on one system, or ``ValueError``.
+
+    ``clocked`` says whether the back end has a clock and per-link state
+    (the fabric) or neither (the analytic model).  ``mesh`` is the
+    ``(width, height, layers)`` of its mesh, ``pillars`` the locations
+    of its pillars and ``banks`` its cache's ``(cluster, bank)`` pool,
+    ``None`` with no cache.  Every explicit target must name a part of
+    that system: a pillar, a directed mesh link, a router port (a link
+    or a pillar router's ``vertical`` port) or a bank.
+    """
+    width, height, layers = mesh
+    if clocked:
+        links = mesh_link_targets(width, height, layers)
+    else:
+        # Refuse mesh faults before resolution: the analytic model has no
+        # link pool, and "cannot draw from 0 candidates" is a worse
+        # diagnostic than naming the mode.
+        if spec.dead_links or any(
+            FAULTS[event.kind].mesh for event in spec.events
+        ):
+            mesh_kinds = "/".join(
+                name for name, kind in FAULTS.items() if kind.mesh
+            )
+            raise ValueError(
+                f"{mesh_kinds} faults require mode='cycle' (the analytic "
+                "model carries no per-link state)"
+            )
+        links = ()
+    bank_pool = banks or ()
+    resolved = spec.resolve(seed, pillars=pillars, links=links, banks=bank_pool)
+    grid = f"the {width}x{height}x{layers} mesh"
+    pools = {
+        "pillar": (set(pillars), f"pillars are at {sorted(pillars)}"),
+        "link": (set(links), f"links join neighbours on {grid}"),
+        "router_port": (
+            set(links).union(
+                (x, y, z, Port.VERTICAL.value)
+                for x, y in pillars
+                for z in range(layers)
+            ),
+            f"ports are the links of {grid} and each pillar router's "
+            "'vertical' port",
+        ),
+        "bank": (
+            set(bank_pool),
+            "banks are (cluster, bank) pairs from (0, 0) to "
+            f"{max(bank_pool, default=None)}",
+        ),
+    }
+    for event in resolved:
+        if not clocked and (event.onset or event.duration is not None):
+            raise ValueError(
+                "model mode supports only permanent onset-0 faults; "
+                "use mode='cycle' for timed fault schedules"
+            )
+        if event.kind == "bank" and banks is None:
+            raise ValueError(
+                "bank faults need a cache layer (network-only install "
+                f"cannot apply {event.target})"
+            )
+        pool, where = pools[event.kind]
+        if event.target not in pool:
+            noun = "port" if event.kind == "router_port" else event.kind
+            raise ValueError(
+                f"{event.kind} fault targets unknown {noun} "
+                f"{event.target}; {where}"
+            )
+    return resolved
+
+
 @dataclass
 class FaultHarness:
     """Everything installed on a simulation for one fault spec."""
@@ -129,47 +222,23 @@ def install_faults(
     """
     engine = getattr(backend, "engine", None)
     if engine is None:
-        # Refuse mesh faults before resolution: the analytic model has no
-        # link pool, and "cannot draw from 0 candidates" is a worse
-        # diagnostic than naming the mode.
-        if spec.dead_links or any(
-            FAULTS[event.kind].mesh for event in spec.events
-        ):
-            mesh = "/".join(name for name, kind in FAULTS.items() if kind.mesh)
-            raise ValueError(
-                f"{mesh} faults require mode='cycle' (the analytic model "
-                "carries no per-link state)"
-            )
-        pillars, links, buses = tuple(backend.topology.pillar_xys), (), None
+        chip = backend.topology.config
+        mesh = (*chip.mesh_dims, chip.num_layers)
+        pillars, buses = tuple(backend.topology.pillar_xys), None
     else:
         cfg = backend.config
-        pillars = tuple(cfg.pillar_locations)
-        links = mesh_link_targets(cfg.width, cfg.height, cfg.layers)
-        buses = backend.pillars
+        mesh = (cfg.width, cfg.height, cfg.layers)
+        pillars, buses = tuple(cfg.pillar_locations), backend.pillars
         stats = backend.stats if stats is None else stats
         tracer = backend.tracer if tracer is None else tracer
-    banks = () if l2 is None else tuple(
-        (cluster.index, bank)
-        for cluster in l2.topology.clusters
-        for bank in range(len(cluster.bank_nodes))
+    resolved = resolve_faults(
+        spec,
+        seed,
+        clocked=engine is not None,
+        mesh=mesh,
+        pillars=pillars,
+        banks=None if l2 is None else cache_banks(l2.topology),
     )
-    resolved = spec.resolve(seed, pillars=pillars, links=links, banks=banks)
-    for event in resolved:
-        if engine is None and (event.onset or event.duration is not None):
-            raise ValueError(
-                "model mode supports only permanent onset-0 faults; "
-                "use mode='cycle' for timed fault schedules"
-            )
-        if event.kind == "pillar" and pillars and event.target not in pillars:
-            raise ValueError(
-                f"pillar fault targets unknown pillar {event.target}; "
-                f"pillars are at {sorted(pillars)}"
-            )
-        if event.kind == "bank" and l2 is None:
-            raise ValueError(
-                "bank faults need a cache layer (network-only install "
-                f"cannot apply {event.target})"
-            )
     state = injector = None
     if resolved:
         state = FaultState(stats=stats, tracer=tracer)

@@ -244,7 +244,7 @@ def mesh_link_targets(
 def parse_fault_arg(text: str) -> FaultEvent:
     """Parse a CLI fault argument: ``kind:target[@onset][+duration]``.
 
-    Examples: ``pillar:3,3``, ``link:2,1,0,east@1000``,
+    Examples: ``pillar:2,2``, ``link:2,1,0,east@1000``,
     ``router_port:1,1,0,north@500+2000``, ``bank:4,7``.
     """
     head, sep, rest = text.partition(":")

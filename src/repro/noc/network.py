@@ -24,6 +24,7 @@ from repro.noc.router import Router, connect
 from repro.noc.routing import Coord, Port, best_pillar
 from repro.noc.interface import NetworkInterface
 from repro.faults.spec import FAULTS
+from repro.params import LINE_FLITS
 
 if TYPE_CHECKING:
     from repro.faults.state import FaultState
@@ -45,7 +46,6 @@ class NetworkConfig:
     # whose traversal is folded into the dTDMA bus slot.  This asymmetry
     # is the physical basis of the 3D advantage.
     link_latency: int = 2
-    packet_flits: int = 4    # flits per cache-line packet (64 B line)
 
     def validate(self) -> None:
         if self.width < 1 or self.height < 1 or self.layers < 1:
@@ -327,6 +327,7 @@ class Network:
     ) -> Packet:
         """Create and inject a packet from ``src`` to ``dest``.
 
+        ``size_flits`` defaults to a line's :data:`~repro.params.LINE_FLITS`.
         With faults installed, inter-layer packets route via the best
         *surviving* pillar; if none survives the packet is refused at
         the boundary — returned with ``lost=True``, counted under
@@ -350,7 +351,7 @@ class Network:
                     packet = Packet(
                         src,
                         dest,
-                        size_flits or self.config.packet_flits,
+                        size_flits or LINE_FLITS,
                         message_class,
                         None,
                         payload,
@@ -362,7 +363,7 @@ class Network:
         packet = Packet(
             src,
             dest,
-            size_flits or self.config.packet_flits,
+            size_flits or LINE_FLITS,
             message_class,
             pillar_xy,
             payload,

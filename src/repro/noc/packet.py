@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.noc.flit import DEFAULT_IDS, Flit, FlitType, IdScope
 from repro.noc.routing import Coord
+from repro.params import LINE_FLITS
 
 
 class MessageClass(enum.Enum):
@@ -33,8 +34,8 @@ class Packet:
     src, dest:
         Node coordinates.
     size_flits:
-        Number of flits; the paper's cache-line packet is 4 flits of
-        128 bits (64 B line).
+        Number of flits; by default a cache line's
+        :data:`~repro.params.LINE_FLITS` flits of 128 bits.
     message_class:
         Traffic type for statistics.
     pillar_xy:
@@ -65,7 +66,7 @@ class Packet:
         self,
         src: Coord,
         dest: Coord,
-        size_flits: int = 4,
+        size_flits: int = LINE_FLITS,
         message_class: MessageClass = MessageClass.SYNTHETIC,
         pillar_xy: Optional[tuple[int, int]] = None,
         payload: object = None,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.models.cacti import CactiModel, CacheArraySpec
+from repro.params import BANK_KB, LINE_FLITS
 
 if TYPE_CHECKING:
     from repro.core.system import NetworkInMemory, RunStats
@@ -43,7 +44,9 @@ class EnergyModel:
     dram_access_j: float = 18e-9     # off-chip access
 
     @classmethod
-    def from_cacti(cls, bank_kb: int = 64, tag_kb: int = 24) -> "EnergyModel":
+    def from_cacti(
+        cls, bank_kb: int = BANK_KB, tag_kb: int = 24
+    ) -> "EnergyModel":
         """Derive the array energies from the Cacti model."""
         cacti = CactiModel()
         return cls(
@@ -124,11 +127,10 @@ def account_run(
     bank_accesses = stats.l2_hits + misses  # refill writes the bank too
     migration_transfers = 2 * stats.migrations  # line + swap victim
 
-    data_flits = system.config.data_flits
     migration_flit_hops = 0.0
     if stats.migrations:
         # Approximate: each migration moves one cluster step (~4 hops).
-        migration_flit_hops = migration_transfers * data_flits * 4.0
+        migration_flit_hops = migration_transfers * LINE_FLITS * 4.0
 
     return EnergyBreakdown(
         network_j=stats.flit_hops * (model.router_flit_j + model.link_flit_j),

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.params import LINE_BYTES
 from repro.sim.rng import make_rng
 from repro.cpu.trace import OP_READ, OP_WRITE, OP_IFETCH, Trace
 from repro.workloads.benchmarks import BenchmarkProfile, get_benchmark
@@ -40,7 +41,6 @@ _SHARED_BASE = 0x1000_0000
 _HOT_BASE = 0x8000_0000
 _CODE_BASE = 0xC000_0000
 _CODE_BYTES = 24 * 1024
-_LINE = 64
 
 
 class SyntheticWorkload:
@@ -72,7 +72,7 @@ class SyntheticWorkload:
         self.shared_bytes = int(self.profile.working_set_mb * 1024 * 1024)
         if self.shared_bytes < self.chunk_bytes * num_cpus:
             raise ValueError("shared array smaller than one chunk per CPU")
-        self._hot_lines = max(1, self.profile.hot_set_kb * 1024 // _LINE)
+        self._hot_lines = max(1, self.profile.hot_set_kb * 1024 // LINE_BYTES)
 
     # -- trace construction ------------------------------------------------------
 
@@ -102,7 +102,7 @@ class SyntheticWorkload:
 
         # Hot set: Zipf-popular lines in a small private region.
         hot_line = self._zipf_lines(rng, n, self._hot_lines, profile.zipf_alpha)
-        hot_addr = _HOT_BASE + (cpu_id << 24) + hot_line * _LINE
+        hot_addr = _HOT_BASE + (cpu_id << 24) + hot_line * LINE_BYTES
         addresses = np.where(is_hot, hot_addr, addresses)
 
         # Residual: popularity-skewed lines over the shared hot structures
@@ -110,10 +110,10 @@ class SyntheticWorkload:
         # genuinely reused lines, not a cold-miss generator.
         residual_pool = min(self.shared_bytes, 2 * 1024 * 1024)
         residual_line = self._zipf_lines(
-            rng, n, residual_pool // _LINE, profile.zipf_alpha
+            rng, n, residual_pool // LINE_BYTES, profile.zipf_alpha
         )
         addresses = np.where(
-            is_residual, _SHARED_BASE + residual_line * _LINE, addresses
+            is_residual, _SHARED_BASE + residual_line * LINE_BYTES, addresses
         )
 
         # Instruction fetches: sequential walk of a small loop body.
@@ -122,9 +122,9 @@ class SyntheticWorkload:
         addresses = np.where(is_ifetch, ifetch_addr, addresses)
 
         # Sub-line offsets for data references (8-byte words).
-        word = rng.integers(0, _LINE // 8, size=n) * 8
+        word = rng.integers(0, LINE_BYTES // 8, size=n) * 8
         addresses = np.where(
-            is_ifetch, addresses, addresses // _LINE * _LINE + word
+            is_ifetch, addresses, addresses // LINE_BYTES * LINE_BYTES + word
         )
 
         # Operations: writes come from the stream (output arrays) and the
@@ -160,7 +160,7 @@ class SyntheticWorkload:
         ``affinity`` (modelled via ``1 - sharing``), anywhere otherwise.
         """
         profile = self.profile
-        step = max(1, _LINE // profile.refs_per_line)
+        step = max(1, LINE_BYTES // profile.refs_per_line)
         position = np.cumsum(np.where(is_stream, step, 0))
         chunk_index = position // self.chunk_bytes
         within = position % self.chunk_bytes

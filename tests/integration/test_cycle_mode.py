@@ -8,6 +8,7 @@ from repro.cache.nuca import AccessType
 from repro.core.schemes import Scheme
 from repro.core.system import NetworkInMemory, SystemConfig
 from repro.cpu.trace import OP_READ
+from repro.params import MEMORY_LATENCY
 
 
 @pytest.fixture(scope="module")
@@ -101,4 +102,4 @@ def test_cycle_mode_runs_a_small_trace():
     ]
     stats = system.run_trace(traces)
     assert stats.l2_accesses == 16
-    assert stats.avg_l2_miss_latency > system.config.memory_latency
+    assert stats.avg_l2_miss_latency > MEMORY_LATENCY

@@ -165,22 +165,23 @@ def test_model_mode_supports_permanent_pillar_and_bank_faults():
 
 
 def test_model_mode_rejects_timed_and_mesh_faults():
-    timed = SimSpec.make(
-        Scheme.CMP_DNUCA_3D,
-        "swim",
-        scale=TINY,
-        faults=FaultSpec(events=(FaultEvent("pillar", (3, 3), onset=100),)),
-    )
+    # Refused when the spec is built: no worker is handed the cell.
     with pytest.raises(ValueError, match="onset-0"):
-        run_spec(timed)
-    mesh = SimSpec.make(
-        Scheme.CMP_DNUCA_3D,
-        "swim",
-        scale=TINY,
-        faults=FaultSpec(dead_links=1),
-    )
+        SimSpec.make(
+            Scheme.CMP_DNUCA_3D,
+            "swim",
+            scale=TINY,
+            faults=FaultSpec(
+                events=(FaultEvent("pillar", (2, 2), onset=100),)
+            ),
+        )
     with pytest.raises(ValueError, match="cycle"):
-        run_spec(mesh)
+        SimSpec.make(
+            Scheme.CMP_DNUCA_3D,
+            "swim",
+            scale=TINY,
+            faults=FaultSpec(dead_links=1),
+        )
 
 
 # -- 3. liveness -------------------------------------------------------------

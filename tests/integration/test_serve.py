@@ -155,6 +155,25 @@ class TestSurface:
         assert status == 400
         assert body["error"]["kind"] == "bad_request"
         assert "dead_pilars" in body["error"]["message"]
+        # A cell its system cannot run is refused too: an unknown mode,
+        # or faults the cell's back end or chip cannot take.
+        for changes, message in [
+            ({"mode": "warp"}, "unknown mode 'warp'"),
+            ({"faults": {"events": [
+                {"kind": "link", "target": [9, 2, 0, "east"]}]}},
+             "require mode='cycle'"),
+            ({"mode": "cycle", "faults": {"events": [
+                {"kind": "bank", "target": [99, 0]}]}},
+             "unknown bank (99, 0)"),
+            ({"faults": {"dead_pillars": 9}}, "from 8 candidates"),
+        ]:
+            spec = {**make_spec().to_dict(), **changes}
+            status, _, body = client._request("POST", "/jobs", {
+                "protocol_version": PROTOCOL_VERSION, "specs": [spec],
+            })
+            assert status == 400
+            assert body["error"]["kind"] == "bad_request"
+            assert message in body["error"]["message"]
 
     def test_protocol_skew_is_structured_400(self, live_server):
         """A peer from another protocol revision fails loudly, not quietly."""

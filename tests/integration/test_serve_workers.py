@@ -427,6 +427,7 @@ class TestGracefulDrain:
         ).start()
         try:
             gate = threading.Event()
+            runner = RecordingRunner(gate=gate)
             node = WorkerNode(
                 f"http://127.0.0.1:{server.port}",
                 worker_id="draining",
@@ -434,16 +435,19 @@ class TestGracefulDrain:
                 lease_cells=4,
                 poll_s=0.05,
                 use_cache=False,
-                runner=RecordingRunner(gate=gate),
+                runner=runner,
             )
             thread = threading.Thread(target=node.run, daemon=True)
             client = server.client()
             snapshot = client.submit(make_grid())
             thread.start()
             try:
+                # Drain once a cell is in flight: the head counts the
+                # grant before the worker has decoded it, and a drain in
+                # that window leaves no cell started.
                 wait_for(
-                    lambda: client.stats()["leases_granted"] >= 1,
-                    what="the worker to lease the grid",
+                    lambda: runner.specs,
+                    what="the worker to start a leased cell",
                 )
                 node.drain()
                 gate.set()

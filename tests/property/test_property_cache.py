@@ -8,7 +8,8 @@ from repro.cache.nuca import NucaL2, AccessType
 from repro.cache.migration import MigrationConfig
 from repro.cache.addressing import AddressMap
 from repro.cache.replacement import TreePLRU
-from repro.coherence.l1cache import L1Cache, L1Config
+from repro.coherence.l1cache import L1Cache
+from repro.params import L1_SETS, L1_WAYS, LINE_BYTES
 
 
 def fresh_nuca(threshold=1):
@@ -206,17 +207,20 @@ class TrueLRU:
         return line in lines
 
 
-# 1 KB of 256 B lines, 2-way: 2 sets x 2 ways.  Six distinct lines (at
-# any offset within them) put three on each set, and lookups and fills
-# outweigh invalidations, so a wrong LRU order soon evicts the wrong line.
-L1_SMALL = L1Config(size_kb=1, ways=2, line_bytes=256)
-L1_LINES = 6
+# Six distinct lines (at any offset within them) from two adjacent sets,
+# three per set one set stride apart, so each 2-way set holds one line
+# too many; lookups and fills outweigh invalidations, so a wrong LRU
+# order soon evicts the wrong line.
+SET_STRIDE = L1_SETS * LINE_BYTES
+L1_LINES = tuple(
+    (line // 2) * SET_STRIDE + (line % 2) * LINE_BYTES for line in range(6)
+)
 l1_ops = st.lists(
     st.tuples(
         st.sampled_from(["lookup", "fill", "lookup", "fill", "invalidate"]),
         st.builds(
-            lambda line, offset: line * 256 + offset,
-            st.integers(0, L1_LINES - 1), st.integers(0, 255),
+            lambda line, offset: line + offset,
+            st.sampled_from(L1_LINES), st.integers(0, LINE_BYTES - 1),
         ),
     ),
     min_size=30,
@@ -230,11 +234,11 @@ def test_l1_matches_true_lru(ops):
     """L1Cache is true LRU: every return value, eviction, hit/miss count
     and residency equals the reference model's, whether or not the probed
     line is already most recently used."""
-    assert L1_SMALL.num_sets == 2
-    cache = L1Cache(0, L1_SMALL)
-    model = TrueLRU(L1_SMALL.num_sets, L1_SMALL.ways, L1_SMALL.line_bytes)
+    assert L1_WAYS == 2
+    cache = L1Cache(0)
+    model = TrueLRU(L1_SETS, L1_WAYS, LINE_BYTES)
     for name, address in ops:
         assert getattr(cache, name)(address) == getattr(model, name)(address)
         assert (cache.hits, cache.misses) == (model.hits, model.misses)
-        for probe in range(0, L1_LINES * 256, 256):
+        for probe in L1_LINES:
             assert cache.contains(probe) == model.contains(probe)

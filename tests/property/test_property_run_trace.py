@@ -18,6 +18,7 @@ from repro.core.schemes import Scheme
 from repro.core.system import _OP_TO_TYPE, NetworkInMemory, SystemConfig
 from repro.cpu.core import InOrderCore
 from repro.cpu.trace import OP_IFETCH, OP_READ, OP_WRITE
+from repro.params import CPI_BASE
 from repro.workloads.generator import SyntheticWorkload
 
 NUM_CPUS = 8
@@ -25,7 +26,7 @@ NUM_CPUS = 8
 
 def retire_gap(core: InOrderCore, gap: int) -> None:
     """Execute ``gap`` non-memory instructions."""
-    core.clock += gap * core.cpi_base
+    core.clock += gap * CPI_BASE
     core.instructions += gap
 
 
@@ -35,7 +36,7 @@ def retire_reference(core: InOrderCore, op: int, stall_cycles: float) -> None:
     Stores never stall (buffered write-through); reads and fetches stall
     for the full transaction latency when ``stall_cycles`` > 0.
     """
-    core.clock += core.cpi_base
+    core.clock += CPI_BASE
     core.instructions += 1
     if op != OP_WRITE and stall_cycles > 0:
         core.clock += stall_cycles

@@ -155,7 +155,7 @@ class TestBeyondPaperScale:
     def test_256mb_4layer_tiles_to_32x32(self):
         """The 256-bank cluster tiling enables the 32x32x4 sweep cell."""
         config = ChipConfig(
-            cache_mb=256, num_layers=4, num_pillars=16, num_clusters=16
+            cache_mb=256, num_layers=4, num_pillars=16
         )
         config.validate()
         assert config.mesh_dims == (32, 32)

@@ -108,8 +108,15 @@ class TestCommands:
             ["run", "--fault", "bogus"],
             ["run", "--layers", "3"],
             ["run", "--cache-mb", "5"],
+            ["run", "--fault", "link:9,2,0,east"],
+            ["run", "--fault", "pillar:2,2@500"],
+            ["run", "--dead-pillars", "9"],
+            ["run", "--mode", "cycle", "--fault", "bank:99,0"],
+            ["run", "--mode", "cycle", "--fault", "link:15,0,0,east"],
         ],
-        ids=["refs", "warmup", "sweep-refs", "fault", "layers", "cache-mb"],
+        ids=["refs", "warmup", "sweep-refs", "fault", "layers", "cache-mb",
+             "model-link-fault", "model-timed-fault", "dead-pillars",
+             "unknown-bank", "unknown-link"],
     )
     def test_bad_argument_is_a_usage_error(self, capsys, argv):
         # Reported by argparse before any system is built: one error

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.cache.nuca import AccessType
-from repro.coherence.l1cache import L1Cache, L1Config
+from repro.coherence.l1cache import L1Cache
 from repro.coherence.directory import Directory
 from repro.coherence.protocol import CoherenceEvent, CoherentL1System
+from repro.params import L1_SETS, LINE_BYTES
+
+#: Addresses this far apart index the same L1 set.
+SET_STRIDE = L1_SETS * LINE_BYTES
 
 
 class TestL1Cache:
     def test_geometry(self):
-        config = L1Config()
-        assert config.num_sets == 512  # 64KB / 64B / 2 ways
+        assert L1_SETS == 512  # 64KB / 64B / 2 ways
 
     def test_miss_then_hit(self):
         cache = L1Cache(0)
@@ -20,10 +23,8 @@ class TestL1Cache:
         assert cache.lookup(0x1000)
 
     def test_lru_within_set(self):
-        config = L1Config()
-        cache = L1Cache(0, config)
-        set_stride = config.num_sets * config.line_bytes
-        a, b, c = 0x0, set_stride, 2 * set_stride  # same set
+        cache = L1Cache(0)
+        a, b, c = 0x0, SET_STRIDE, 2 * SET_STRIDE  # same set
         cache.fill(a)
         cache.fill(b)
         cache.lookup(a)          # a hits the LRU way and becomes MRU
@@ -32,10 +33,8 @@ class TestL1Cache:
 
     def test_mru_hit_keeps_the_order(self):
         """A hit on the MRU way returns early and leaves the LRU way last."""
-        config = L1Config()
-        cache = L1Cache(0, config)
-        set_stride = config.num_sets * config.line_bytes
-        a, b, c = 0x0, set_stride, 2 * set_stride  # same set
+        cache = L1Cache(0)
+        a, b, c = 0x0, SET_STRIDE, 2 * SET_STRIDE  # same set
         cache.fill(a)
         cache.fill(b)
         assert cache.lookup(b)   # b is already MRU

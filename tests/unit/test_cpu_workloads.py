@@ -61,11 +61,6 @@ class TestInOrderCore:
         retire_gap(core, 50)
         assert core.ipc == pytest.approx(1.0)
 
-    def test_cpi_base_scaling(self):
-        core = InOrderCore(0, cpi_base=2.0)
-        retire_gap(core, 5)
-        assert core.clock == 10
-
 
 class TestTraceValidation:
     def test_op_names(self):

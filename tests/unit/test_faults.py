@@ -351,6 +351,54 @@ class TestInstallRefusals:
         with pytest.raises(ValueError, match="unknown pillar"):
             _model_system(events=(FaultEvent("pillar", (0, 0)),))
 
+    @pytest.mark.parametrize("target", [(99, 0), (0, 16), (16, 0)])
+    def test_unknown_bank(self, target):
+        # Clusters 0-15 of 16 banks each; either index past its end
+        # names no bank.
+        with pytest.raises(ValueError, match=re.escape(
+            f"bank fault targets unknown bank {target}; banks are "
+            "(cluster, bank) pairs from (0, 0) to (15, 15)"
+        )):
+            _model_system(events=(FaultEvent("bank", target),))
+
+    @pytest.mark.parametrize("target", [
+        (3, 0, 0, "east"),   # off the east edge of the 4-wide mesh
+        (0, 3, 1, "north"),  # off the north edge
+        (0, 0, 2, "east"),   # a third layer the 4x4x2 mesh lacks
+    ])
+    def test_unknown_link(self, target):
+        spec = FaultSpec(events=(FaultEvent("link", target),))
+        with pytest.raises(ValueError, match=re.escape(
+            f"link fault targets unknown link {target}; links join "
+            "neighbours on the 4x4x2 mesh"
+        )):
+            install_faults(_network(), spec, 1)
+
+    @pytest.mark.parametrize("target", [
+        (3, 0, 0, "east"),       # no link leaves that way
+        (0, 0, 0, "vertical"),   # no pillar router at (0, 0)
+        (1, 1, 2, "vertical"),   # nor on a third layer
+    ])
+    def test_unknown_router_port(self, target):
+        spec = FaultSpec(events=(FaultEvent("router_port", target),))
+        with pytest.raises(ValueError, match=re.escape(
+            f"router_port fault targets unknown port {target}; ports are "
+            "the links of the 4x4x2 mesh and each pillar router's "
+            "'vertical' port"
+        )):
+            install_faults(_network(), spec, 1)
+
+    def test_pillar_routers_vertical_ports_are_targets(self):
+        spec = FaultSpec(events=tuple(
+            FaultEvent("router_port", (x, y, z, "vertical"))
+            for x, y in ((1, 1), (2, 2))
+            for z in (0, 1)
+        ))
+        network = _network()
+        harness = install_faults(network, spec, 1)
+        network.engine.step()  # onset-0 events fire on the first cycle
+        assert harness.state.active == 4
+
 
 # -- fault-aware routing ------------------------------------------------------
 

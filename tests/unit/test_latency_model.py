@@ -1,13 +1,16 @@
 """Unit tests for the contention-aware analytic latency model."""
 
-import dataclasses
 import random
 
 import pytest
 
+from repro.core import latency_model
 from repro.core.chip import ChipConfig
 from repro.core.placement import build_topology
-from repro.core.latency_model import LatencyModel, LatencyModelConfig
+from repro.core.latency_model import (
+    BUS_OVERHEAD, HOP_CYCLES, INJECTION_OVERHEAD, MAX_UTILIZATION,
+    MESH_CAPACITY_FACTOR, Q_BUS, Q_MESH, LatencyModel,
+)
 from repro.faults.state import FaultState
 from repro.noc.routing import Coord, best_pillar
 
@@ -64,15 +67,15 @@ def mesh_utilization(model):
     """The mesh's flit-hop rate over its capacity, unclamped."""
     width, height = model.topology.config.mesh_dims
     nodes = width * height * model.topology.config.num_layers
-    return model._mesh_rate / (nodes * model.config.mesh_capacity_factor)
+    return model._mesh_rate / (nodes * MESH_CAPACITY_FACTOR)
 
 
 def flood(models, src, dest, cycle):
     """Send 64-flit packets from ``src`` to ``dest`` through every model
     until the mesh, if the path has hops, and the pillar it crosses, if
-    any, are past ``max_utilization``."""
+    any, are past ``MAX_UTILIZATION``."""
     probe = models[0]
-    ceiling = probe.config.max_utilization
+    ceiling = MAX_UTILIZATION
     hops, pillar = probe.path(src, dest)
     while (hops and mesh_utilization(probe) <= ceiling) or (
         pillar is not None and bus_rate(probe, pillar) <= ceiling
@@ -140,9 +143,8 @@ class TestPathMemo:
         state.heal("pillar", victim)
         # packet_latency makes the first lookup after the heal: zero hops
         # through the healed pillar, whose bus carried nothing.
-        cfg = model3d.config
         latency = model3d.packet_latency(src, dest, 1, cycle=2.0)
-        assert latency == cfg.injection_overhead + cfg.bus_overhead
+        assert latency == INJECTION_OVERHEAD + BUS_OVERHEAD
         assert {pair: model3d.path(*pair) for pair in pairs} == before
 
     def test_all_pillars_dead(self, model3d):
@@ -298,7 +300,7 @@ class TestRoundKernels:
     )
     def test_kernels_match_per_packet_loops(self, chip, saturate):
         """Saturated, the mesh and one pillar are flooded past
-        ``max_utilization`` before the rounds and every 100 steps, so
+        ``MAX_UTILIZATION`` before the rounds and every 100 steps, so
         clamped rates make equal totals common."""
         topology = build_topology(chip)
         kernel, reference = LatencyModel(topology), LatencyModel(topology)
@@ -457,6 +459,25 @@ class TestRoundKernels:
 
 
 class TestConfig:
+    """The calibration is module constants, which nothing can set, so
+    the model no longer refuses values at run time.  Each case names a
+    value the model cannot take and holds the constant inside the bound
+    that refuses it: a weight >= 0 keeps a price from falling below
+    zero or as hops and load grow, a capacity and a window > 0 keep the
+    rates finite, and a clamp in [0, 1) keeps the queueing waits finite
+    (NaN is inside no bound)."""
+
+    BOUNDS = {
+        "hop_cycles": lambda value: value >= 0,
+        "injection_overhead": lambda value: value >= 0,
+        "bus_overhead": lambda value: value >= 0,
+        "q_mesh": lambda value: value >= 0,
+        "q_bus": lambda value: value >= 0,
+        "mesh_capacity_factor": lambda value: value > 0,
+        "load_window": lambda value: value > 0,
+        "max_utilization": lambda value: 0 <= value < 1,
+    }
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -475,30 +496,19 @@ class TestConfig:
         ],
     )
     def test_refuses_values_that_crash_or_price_below_zero(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            LatencyModelConfig(**{field: value})
-
-    def test_accepts_the_bounds(self):
-        LatencyModelConfig(
-            hop_cycles=0.0, injection_overhead=0.0, bus_overhead=0.0,
-            q_mesh=0.0, q_bus=0.0, max_utilization=0.0,
-        )
-
-    def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            LatencyModelConfig().max_utilization = 1.0
+        bound = self.BOUNDS[field]
+        assert not bound(value)
+        assert bound(getattr(latency_model, field.upper()))
 
 
 class TestZeroLoad:
     def test_formula_same_layer(self, model2d):
-        cfg = model2d.config
         latency = model2d.zero_load_latency(Coord(0, 0, 0), Coord(5, 0, 0), 4)
-        assert latency == cfg.injection_overhead + 5 * cfg.hop_cycles + 3
+        assert latency == INJECTION_OVERHEAD + 5 * HOP_CYCLES + 3
 
     def test_bus_overhead_added_cross_layer(self, model3d):
-        cfg = model3d.config
         latency = model3d.zero_load_latency(Coord(2, 2, 0), Coord(2, 2, 1), 1)
-        assert latency == cfg.injection_overhead + cfg.bus_overhead
+        assert latency == INJECTION_OVERHEAD + BUS_OVERHEAD
 
     def test_zero_for_same_node(self, model3d):
         assert model3d.zero_load_latency(Coord(1, 1, 0), Coord(1, 1, 0), 4) == 0
@@ -523,15 +533,14 @@ class TestLoadTracking:
         for cycle in range(2000):
             for __ in range(50):
                 model2d.note_packet(src, dest, 4, float(cycle))
-        cfg = model2d.config
-        ceiling = cfg.max_utilization
+        ceiling = MAX_UTILIZATION
         assert mesh_utilization(model2d) > ceiling
         # A one-flit packet waits exactly the clamped per-hop delay.
-        wait = cfg.q_mesh * ceiling / (1.0 - ceiling)
+        wait = Q_MESH * ceiling / (1.0 - ceiling)
         hops = src.manhattan_2d(dest)
         assert model2d.packet_latency(
             src, dest, 1, cycle=2000.0, record=False
-        ) == cfg.injection_overhead + hops * (cfg.hop_cycles + wait)
+        ) == INJECTION_OVERHEAD + hops * (HOP_CYCLES + wait)
 
     def test_bus_rate_tracked_per_pillar(self, model3d):
         pillar = model3d.topology.pillar_xys[0]
@@ -550,14 +559,13 @@ class TestLoadTracking:
         for cycle in range(2000):
             for __ in range(4):
                 model3d.note_packet(src, dest, 4, float(cycle))
-        cfg = model3d.config
-        ceiling = cfg.max_utilization
+        ceiling = MAX_UTILIZATION
         assert bus_rate(model3d, pillar) > ceiling
         # Zero mesh hops and one flit: only the clamped bus wait remains.
-        wait = cfg.q_bus * ceiling / (1.0 - ceiling)
+        wait = Q_BUS * ceiling / (1.0 - ceiling)
         assert model3d.packet_latency(
             src, dest, 1, cycle=2000.0, record=False
-        ) == cfg.injection_overhead + cfg.bus_overhead + wait
+        ) == INJECTION_OVERHEAD + BUS_OVERHEAD + wait
 
 
 class TestContention:

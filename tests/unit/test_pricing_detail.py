@@ -5,6 +5,7 @@ import pytest
 from repro.cache.nuca import AccessType
 from repro.core.schemes import Scheme
 from repro.core.system import NetworkInMemory, SystemConfig
+from repro.params import MEMORY_LATENCY
 
 
 @pytest.fixture(scope="module", params=["model", "cycle"])
@@ -42,7 +43,7 @@ def test_local_hit_cheapest(system):
 def test_miss_costs_at_least_memory_plus_search(system):
     result = system.l2_transaction(0, 0x7abc_0000, AccessType.READ, 0.0)
     assert not result.hit
-    assert result.latency > system.config.memory_latency + 20
+    assert result.latency > MEMORY_LATENCY + 20
     again = system.l2_transaction(0, 0x7abc_0000, AccessType.READ, 1e4)
     assert again.hit and again.latency < result.latency
 

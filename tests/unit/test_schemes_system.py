@@ -7,6 +7,9 @@ from repro.core.system import NetworkInMemory, SystemConfig
 from repro.core.placement import PlacementPolicy
 from repro.cache.nuca import AccessType
 from repro.cpu.trace import OP_READ, OP_WRITE
+from repro.params import (
+    BANK_LATENCY, LINE_FLITS, MEMORY_LATENCY, REQUEST_FLITS, TAG_LATENCY,
+)
 
 
 class TestSchemes:
@@ -50,23 +53,31 @@ class TestSystemConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SystemConfig(mode="warp").validate()
-        with pytest.raises(ValueError):
-            SystemConfig(tag_latency=0).validate()
 
     @pytest.mark.parametrize(
         "field,value",
         [("request_flits", 0), ("data_flits", 0), ("memory_latency", -300)],
     )
     def test_rejects_empty_packets_and_negative_memory(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SystemConfig(**{field: value}).validate()
+        """The packet sizes and the memory latency are Table 4 constants
+        now, which nothing can set; each case holds its constant inside
+        the bound that refuses the value: a packet carries at least one
+        flit, and a memory access takes no negative time."""
+        constant, bound = {
+            "request_flits": (REQUEST_FLITS, lambda flits: flits >= 1),
+            "data_flits": (LINE_FLITS, lambda flits: flits >= 1),
+            "memory_latency": (MEMORY_LATENCY, lambda cycles: cycles >= 0),
+        }[field]
+        assert not bound(value)
+        assert bound(constant)
 
     def test_default_is_paper(self):
         config = SystemConfig()
-        assert config.tag_latency == 4
-        assert config.bank_latency == 5
-        assert config.memory_latency == 260
-        assert config.data_flits == 4
+        assert (config.cache_mb, config.num_layers, config.num_pillars,
+                config.num_cpus) == (16, 2, 8, 8)
+        assert (TAG_LATENCY, BANK_LATENCY, MEMORY_LATENCY, LINE_FLITS) == (
+            4, 5, 260, 4
+        )
 
 
 class TestNetworkInMemory:
@@ -77,7 +88,7 @@ class TestNetworkInMemory:
     def test_transaction_miss_then_hit(self, system):
         miss = system.l2_transaction(0, 0x4000_0000, AccessType.READ, 0.0)
         assert not miss.hit
-        assert miss.latency >= system.config.memory_latency
+        assert miss.latency >= MEMORY_LATENCY
         hit = system.l2_transaction(0, 0x4000_0000, AccessType.READ, 500.0)
         assert hit.hit
         assert hit.latency < miss.latency

@@ -1,10 +1,12 @@
 """SimSpec identity, serialization, and seeding invariants."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import Scheme
-from repro.core.system import RunStats
+from repro.core.system import NetworkInMemory, RunStats, SystemConfig
 from repro.experiments.config import QUICK, ExperimentScale
 from repro.experiments.spec import SPEC_VERSION, SimSpec
 from repro.faults.spec import FaultEvent, FaultSpec
@@ -53,6 +55,42 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="layer count 3"):
             SimSpec.from_dict(data)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'warp'"):
+            SimSpec.make(Scheme.CMP_DNUCA_3D, "swim", mode="warp")
+        data = make_spec().to_dict()
+        data["mode"] = "warp"
+        with pytest.raises(ValueError, match="unknown mode 'warp'"):
+            SimSpec.from_dict(data)
+
+    @pytest.mark.parametrize("mode, faults, message", [
+        ("model", FaultSpec(events=(FaultEvent("link", (9, 2, 0, "east")),)),
+         "require mode='cycle'"),
+        ("model", FaultSpec(events=(FaultEvent("pillar", (2, 2), onset=5),)),
+         "onset-0"),
+        ("model", FaultSpec(dead_pillars=9),
+         "cannot draw 9 random pillar faults from 8 candidates"),
+        ("model", FaultSpec(events=(FaultEvent("pillar", (3, 3)),)),
+         "unknown pillar (3, 3)"),
+        ("cycle", FaultSpec(events=(FaultEvent("bank", (99, 0)),)),
+         "unknown bank (99, 0)"),
+        ("cycle", FaultSpec(events=(FaultEvent("link", (15, 0, 0, "east")),)),
+         "unknown link (15, 0, 0, 'east')"),
+    ], ids=["mesh-in-model", "timed-in-model", "too-many-random",
+            "pillar", "bank", "link"])
+    def test_fault_the_cell_cannot_take_rejected(self, mode, faults, message):
+        """Refused when the spec is built or decoded, with the message
+        the system's own fault install gives."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_spec(mode=mode, faults=faults)
+        data = make_spec(mode=mode).to_dict()
+        data["faults"] = faults.to_dict()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimSpec.from_dict(data)
+        config = SystemConfig(mode=mode, faults=faults, fault_seed=QUICK.seed)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NetworkInMemory(config)
+
     def test_make_fills_ambient_scale_and_seed(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         spec = SimSpec.make(Scheme.CMP_DNUCA_2D, "swim")
@@ -67,7 +105,7 @@ class TestUnknownKeys:
         mode="cycle",
         trace=TraceSpec(format="jsonl", limit=100),
         faults=FaultSpec(
-            events=(FaultEvent("pillar", (3, 3), onset=5, duration=10),),
+            events=(FaultEvent("pillar", (2, 2), onset=5, duration=10),),
             dead_banks=1,
         ),
     )
